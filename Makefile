@@ -1,6 +1,6 @@
 # Convenience targets; CI runs `make ci` on every PR.
 
-.PHONY: all build test bench bench-smoke strategy-smoke fuzz-smoke validate-smoke obs-smoke lint-smoke absint-smoke par-smoke stream-smoke serve-smoke trace-smoke soak-smoke ci clean
+.PHONY: all build test bench bench-smoke strategy-smoke fuzz-smoke validate-smoke obs-smoke front-end-smoke lint-smoke absint-smoke par-smoke stream-smoke serve-smoke trace-smoke soak-smoke ci clean
 
 all: build
 
@@ -48,6 +48,18 @@ obs-smoke:
 	  --json=_obs/rows.json
 	test -s _obs/metrics.txt
 	dune exec bin/checkjson.exe -- _obs/trace.json _obs/rows.json
+
+# Front-end work gate: the pipeline's profile passes are a deterministic
+# count, so CI holds them exactly.  cmp inlines nothing and reuses its
+# one profile (1 pass); yacc's three inlining rounds force three more
+# (4).  A pass that comes back, or a redundant one added, fails here.
+front-end-smoke:
+	rm -rf _obs && mkdir -p _obs
+	dune exec bin/main.exe -- lint -b cmp,yacc \
+	  --metrics-out=_obs/front-end-metrics.txt > /dev/null
+	awk '$$2 == "pipeline.profile_passes" { n = $$3 } \
+	  END { if (n != 5) { print "pipeline.profile_passes = " n ", want 5"; exit 1 } }' \
+	  _obs/front-end-metrics.txt
 
 # Static layout linter end to end: two benchmarks across every
 # registered strategy, JSON report written and re-parsed, lint metrics
@@ -111,6 +123,9 @@ stream-smoke:
 # a 2-lane pool), a 200-request seeded chaos campaign must finish with
 # zero crashes and one well-formed response per request, and the chaos
 # report plus the replayed responses must re-parse with checkjson.
+# Last, over a real Unix socket: a client that pipelines 2000 requests
+# and hangs up unread must not take the daemon down — the next client
+# still gets its answer and a clean shutdown.
 serve-smoke:
 	rm -rf _serve && mkdir -p _serve
 	dune exec bin/serve.exe -- --replay test/vectors/serve/requests.ndjson \
@@ -123,6 +138,12 @@ serve-smoke:
 	dune exec bin/checkjson.exe -- _serve/chaos.json
 	dune exec bin/checkjson.exe -- --ndjson _serve/replay-j2.ndjson \
 	  test/vectors/serve/responses.ndjson
+	dune build bin/serve.exe
+	./_build/default/bin/serve.exe --socket _serve/gone.sock -b cmp -q & \
+	  pid=$$!; \
+	  if python3 test/serve_gone_client.py _serve/gone.sock; then \
+	    wait $$pid; \
+	  else kill $$pid; exit 1; fi
 
 # Request tracing end to end: replaying the golden stream with span
 # recording on must stay byte-identical to the committed responses
@@ -151,7 +172,7 @@ soak-smoke:
 	  --soak-out _soak/soak.json -q
 	dune exec bin/checkjson.exe -- _soak/soak.json
 
-ci: build test bench-smoke strategy-smoke fuzz-smoke validate-smoke obs-smoke lint-smoke absint-smoke par-smoke stream-smoke serve-smoke trace-smoke soak-smoke
+ci: build test bench-smoke strategy-smoke fuzz-smoke validate-smoke obs-smoke front-end-smoke lint-smoke absint-smoke par-smoke stream-smoke serve-smoke trace-smoke soak-smoke
 
 clean:
 	dune clean

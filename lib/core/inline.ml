@@ -115,11 +115,11 @@ let expand_once config ~budget (prog : Prog.program)
       (int_of_float (config.min_call_fraction *. float_of_int total_calls))
   in
   let sites =
-    Hashtbl.fold
-      (fun (caller, block, callee) count acc ->
+    Vm.Profile.fold_sites profile
+      (fun caller block callee count acc ->
         if count >= threshold then (count, caller, block, callee) :: acc
         else acc)
-      profile.Vm.Profile.site_counts []
+      []
     |> List.sort (fun (c1, a1, b1, d1) (c2, a2, b2, d2) ->
            match compare c2 c1 with
            | 0 -> compare (a1, b1, d1) (a2, b2, d2)
@@ -158,25 +158,39 @@ let expand_once config ~budget (prog : Prog.program)
     sites;
   (!prog, !inlined)
 
-(* Full expansion: profile, inline, and repeat so that calls inside freshly
-   inlined bodies can be expanded too (paper reduces dynamic calls to ~1%
-   of control transfers). *)
-let expand ?(config = default_config) (prog : Prog.program)
-    ~(inputs : Vm.Io.input list) : Prog.program * report =
+let profile_passes =
+  Obs.Metrics.counter "pipeline.profile_passes"
+    ~help:"full profile passes over the profiling inputs"
+
+let profile prog inputs =
+  Obs.Metrics.incr profile_passes;
+  Vm.Profile.profile prog inputs
+
+(* Full expansion: inline, re-profile, and repeat so that calls inside
+   freshly inlined bodies can be expanded too (paper reduces dynamic calls
+   to ~1% of control transfers).  Round 0 works from the caller's profile
+   and every later round from a profile of the previous round's output,
+   so the only passes made are the ones an inlining round forces. *)
+let expand ?(config = default_config) (profile0 : Vm.Profile.t)
+    ~(inputs : Vm.Io.input list) :
+    Prog.program * report * Vm.Profile.t option =
+  let prog = profile0.Vm.Profile.prog in
   let insns_before = Prog.total_instr_count prog in
   let budget =
     int_of_float (config.max_program_growth *. float_of_int insns_before)
   in
-  let rec go round prog sites =
-    if round >= config.rounds then (prog, sites, round)
-    else begin
-      let profile = Vm.Profile.profile prog inputs in
-      let prog', n = expand_once config ~budget prog profile in
-      if n = 0 then (prog', sites, round)
-      else go (round + 1) prog' (sites + n)
-    end
+  (* [p] is a profile of [prog]; it survives only a round that inlines
+     nothing. *)
+  let rec go round prog p sites =
+    let prog', n =
+      if round < config.rounds then expand_once config ~budget prog p
+      else (prog, 0)
+    in
+    if n = 0 then (prog, sites, round, Some p)
+    else if round + 1 >= config.rounds then (prog', sites + n, round + 1, None)
+    else go (round + 1) prog' (profile prog' inputs) (sites + n)
   in
-  let prog', sites_inlined, rounds_used = go 0 prog 0 in
+  let prog', sites_inlined, rounds_used, final = go 0 prog profile0 0 in
   Obs.Metrics.incr ~by:sites_inlined
     (Obs.Metrics.counter "pipeline.sites_inlined"
        ~help:"call sites expanded by inline rounds");
@@ -186,4 +200,5 @@ let expand ?(config = default_config) (prog : Prog.program)
       insns_before;
       insns_after = Prog.total_instr_count prog';
       rounds_used;
-    } )
+    },
+    final )

@@ -33,9 +33,19 @@ val expand_once :
 (** One pass in decreasing dynamic-count order; returns the number of
     sites inlined.  [budget] bounds total program instructions. *)
 
+val profile : Prog.program -> Vm.Io.input list -> Vm.Profile.t
+(** One full profile pass over the inputs ({!Vm.Profile.profile}),
+    counted in the [pipeline.profile_passes] metric.  Every pass the
+    pipeline and the inliner make goes through here. *)
+
 val expand :
   ?config:config ->
-  Prog.program ->
+  Vm.Profile.t ->
   inputs:Vm.Io.input list ->
-  Prog.program * report
-(** Profile-inline-repeat until quiescence or the round limit. *)
+  Prog.program * report * Vm.Profile.t option
+(** [expand profile ~inputs] inlines [profile.prog] until a round inlines
+    nothing or the round limit is hit.  Round 0 uses [profile]; each
+    later round re-profiles the previous round's output on [inputs].
+    The third result is a profile of the returned program when the last
+    round inlined nothing (it is [profile] itself if no round did), and
+    [None] when the round limit cut off an inlining round. *)

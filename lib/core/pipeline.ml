@@ -45,14 +45,15 @@ let run ?(config = default_config) (original : Prog.program)
   let original_profile =
     Obs.Span.with_ ~stage:"profile"
       ~attrs:[ ("program", "original") ]
-      (fun () -> Vm.Profile.profile original inputs)
+      (fun () -> Inline.profile original inputs)
   in
   (* Step 2: inline expansion of the important call sites, then a second
-     cleanup pass over the splices. *)
-  let program, inline_report =
+     cleanup pass over the splices.  [profile] is a profile of [program]
+     whenever one is already in hand. *)
+  let program, inline_report, profile =
     if config.do_inline then
       Obs.Span.with_ ~stage:"inline" (fun () ->
-          Inline.expand ~config:config.inline original ~inputs)
+          Inline.expand ~config:config.inline original_profile ~inputs)
     else
       ( original,
         {
@@ -60,25 +61,34 @@ let run ?(config = default_config) (original : Prog.program)
           insns_before = Prog.total_instr_count original;
           insns_after = Prog.total_instr_count original;
           rounds_used = 0;
-        } )
+        },
+        Some original_profile )
   in
-  let program =
+  let program, profile =
     if config.do_simplify && config.do_inline then
-      Obs.Span.with_ ~stage:"simplify"
-        ~attrs:[ ("program", "inlined") ]
-        (fun () -> Simplify.program program)
-    else program
+      let simplified =
+        Obs.Span.with_ ~stage:"simplify"
+          ~attrs:[ ("program", "inlined") ]
+          (fun () -> Simplify.program program)
+      in
+      if simplified.Prog.funcs = program.Prog.funcs then (program, profile)
+      else (simplified, None)
+    else (program, profile)
   in
   (* Report code growth against what actually ships. *)
   let inline_report =
     { inline_report with Inline.insns_after = Prog.total_instr_count program }
   in
-  (* Re-profile the transformed program on the same inputs so the layout
-     steps see weights that match its control graphs. *)
+  (* The layout steps need weights that match [program]'s control graphs:
+     re-profile on the same inputs only if inlining or the cleanup changed
+     the program since the last pass. *)
   let profile =
-    Obs.Span.with_ ~stage:"profile"
-      ~attrs:[ ("program", "inlined") ]
-      (fun () -> Vm.Profile.profile program inputs)
+    match profile with
+    | Some p -> p
+    | None ->
+      Obs.Span.with_ ~stage:"profile"
+        ~attrs:[ ("program", "inlined") ]
+        (fun () -> Inline.profile program inputs)
   in
   (* Step 3: trace selection per function. *)
   let selections =

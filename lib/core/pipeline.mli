@@ -19,7 +19,10 @@ type t = {
   original : Prog.program;  (** after cleanups, before inlining *)
   original_profile : Vm.Profile.t;
   program : Prog.program;  (** after inline expansion *)
-  profile : Vm.Profile.t;  (** profile of [program] over the same inputs *)
+  profile : Vm.Profile.t;
+      (** profile of [program] over the same inputs — the very value
+          [original_profile] when nothing changed the program.  Neither
+          profile is mutated after {!run} returns. *)
   inline_report : Inline.report;
   selections : Trace_select.t array;  (** per function of [program] *)
   layouts : Func_layout.t array;

@@ -37,8 +37,8 @@ let call_of_profile (profile : Vm.Profile.t) =
   let prog = profile.Vm.Profile.prog in
   let graph = Callgraph.build prog in
   let pair_counts = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun (caller, _block, callee) count ->
+  Vm.Profile.fold_sites profile
+    (fun caller _block callee count () ->
       (* weight(X, X) = 0, per the paper's GlobalLayout algorithm *)
       if caller <> callee then begin
         let key = (caller, callee) in
@@ -49,7 +49,7 @@ let call_of_profile (profile : Vm.Profile.t) =
         in
         Hashtbl.replace pair_counts key (cur + count)
       end)
-    profile.Vm.Profile.site_counts;
+    ();
   {
     pair =
       (fun caller callee ->

@@ -13,6 +13,7 @@ type program = {
   data : (int * Bytes.t) list; (* initialized data segment images *)
   heap_base : int; (* first address past globals, for Alloc *)
   by_name : (string, int) Hashtbl.t;
+  callees : int array array; (* per function, per block: callee index or -1 *)
 }
 
 exception Unknown_function of string
@@ -23,6 +24,18 @@ let func_index p name =
   | None -> raise (Unknown_function name)
 
 let func_by_name p name = p.funcs.(func_index p name)
+
+let resolve_callees funcs by_name =
+  Array.map
+    (fun f ->
+      Array.map
+        (fun b ->
+          match Cfg.callee b with
+          | Some name ->
+            Option.value ~default:(-1) (Hashtbl.find_opt by_name name)
+          | None -> -1)
+        f.blocks)
+    funcs
 
 let make ?(data = []) ?(heap_base = 0) ~entry funcs =
   let funcs = Array.of_list funcs in
@@ -39,13 +52,14 @@ let make ?(data = []) ?(heap_base = 0) ~entry funcs =
     | Some i -> i
     | None -> raise (Unknown_function entry)
   in
-  { funcs; entry; data; heap_base; by_name }
+  let callees = resolve_callees funcs by_name in
+  { funcs; entry; data; heap_base; by_name; callees }
 
-(* Rebuild the lookup table after a functional update of [funcs]. *)
+(* Rebuild the lookup tables after a functional update of [funcs]. *)
 let with_funcs p funcs =
   let by_name = Hashtbl.create (Array.length funcs * 2) in
   Array.iteri (fun i f -> Hashtbl.add by_name f.name i) funcs;
-  { p with funcs; by_name }
+  { p with funcs; by_name; callees = resolve_callees funcs by_name }
 
 let func_instr_count f =
   Array.fold_left (fun acc b -> acc + Cfg.instr_count b) 0 f.blocks

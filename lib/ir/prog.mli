@@ -13,6 +13,11 @@ type program = {
   data : (int * Bytes.t) list;  (** initialized data-segment images *)
   heap_base : int;  (** first address past the globals, for [Alloc] *)
   by_name : (string, int) Hashtbl.t;
+  callees : int array array;
+      (** [callees.(fid).(l)]: index of the function block [l] of [fid]
+          calls, or [-1] when the block does not end in a call or names
+          a function the program lacks.  Resolved once when the program
+          is built, so execution never looks a name up per call. *)
 }
 
 exception Unknown_function of string
@@ -33,7 +38,8 @@ val func_index : program -> string -> int
 val func_by_name : program -> string -> func
 
 val with_funcs : program -> func array -> program
-(** Functional update of the function array, rebuilding the name index. *)
+(** Functional update of the function array, rebuilding the name index
+    and the resolved callees. *)
 
 val func_instr_count : func -> int
 val func_byte_size : func -> int

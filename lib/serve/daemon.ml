@@ -1039,6 +1039,10 @@ let stopped t = t.stopped
 (* ------------------------------------------------------------------ *)
 
 let serve_socket t ~path =
+  (* A client that closes with responses still owed would otherwise kill
+     the process with SIGPIPE on the next write; ignored, the write fails
+     with EPIPE instead and ends only that connection. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -1054,6 +1058,10 @@ let serve_socket t ~path =
         let oc = Unix.out_channel_of_descr fd in
         (* A client disconnecting mid-stream must not kill the daemon:
            treat any channel failure as that connection ending. *)
-        (try serve_channels t ic oc with Sys_error _ | End_of_file -> ());
-        try Unix.close fd with Unix.Unix_error _ -> ()
+        (try serve_channels t ic oc
+         with Sys_error _ | End_of_file | Unix.Unix_error _ -> ());
+        (* Closing the channel (not just the descriptor) drops any
+           response bytes a dead peer left unflushed, so no later flush
+           can write them to a reused descriptor. *)
+        close_out_noerr oc
       done)

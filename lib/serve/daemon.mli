@@ -70,7 +70,8 @@ val serve_channels : t -> in_channel -> out_channel -> unit
 val serve_socket : t -> path:string -> unit
 (** Listen on a Unix socket, serving connections sequentially until a
     shutdown request arrives.  A client disconnecting mid-stream ends
-    that connection only.  The socket file is removed on exit. *)
+    that connection only; to that end the process ignores SIGPIPE from
+    here on.  The socket file is removed on exit. *)
 
 val stopped : t -> bool
 

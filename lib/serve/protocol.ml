@@ -393,27 +393,25 @@ let upload_request_of_profile ?(id = Obs.Json.Null) ~name ~bench ?epoch
     ?(weight = 1.0) (p : Vm.Profile.t) : Obs.Json.t =
   let num f = Obs.Json.Float f in
   let blocks = ref [] and arcs = ref [] in
-  Array.iteri
-    (fun fid (fp : Vm.Profile.func_profile) ->
-      Array.iteri
-        (fun l c -> if c > 0 then blocks := (fid, l, c) :: !blocks)
-        fp.Vm.Profile.block_counts;
-      Array.iteri
-        (fun src tbl ->
-          Hashtbl.iter
-            (fun dst c -> if c > 0 then arcs := (fid, src, dst, c) :: !arcs)
-            tbl)
-        fp.Vm.Profile.arc_counts)
-    p.Vm.Profile.funcs;
   let entries = ref [] in
   Array.iteri
-    (fun fid c -> if c > 0 then entries := (fid, c) :: !entries)
-    p.Vm.Profile.entry_counts;
-  let calls = ref [] in
-  Hashtbl.iter
-    (fun (caller, block, callee) c ->
-      if c > 0 then calls := (caller, block, callee, c) :: !calls)
-    p.Vm.Profile.site_counts;
+    (fun fid (f : Ir.Prog.func) ->
+      Array.iteri
+        (fun l _ ->
+          let c = Vm.Profile.block_weight p fid l in
+          if c > 0 then blocks := (fid, l, c) :: !blocks)
+        f.blocks;
+      Vm.Profile.iter_arcs p fid (fun src dst c ->
+          if c > 0 then arcs := (fid, src, dst, c) :: !arcs);
+      let c = Vm.Profile.func_weight p fid in
+      if c > 0 then entries := (fid, c) :: !entries)
+    p.Vm.Profile.prog.funcs;
+  let calls =
+    Vm.Profile.fold_sites p
+      (fun caller block callee c acc ->
+        if c > 0 then (caller, block, callee, c) :: acc else acc)
+      []
+  in
   let rows3 xs =
     Obs.Json.List
       (List.map
@@ -452,5 +450,5 @@ let upload_request_of_profile ?(id = Obs.Json.Null) ~name ~bench ?epoch
         ("blocks", rows3 !blocks);
         ("arcs", rows4 !arcs);
         ("entries", rows2 !entries);
-        ("calls", rows4 !calls);
+        ("calls", rows4 calls);
       ])

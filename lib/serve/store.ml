@@ -153,20 +153,17 @@ let materialize (prog : Ir.Prog.program) (epochs : (int * acc) list) :
     tbl
   in
   Hashtbl.iter
-    (fun (fid, lbl) v -> p.Vm.Profile.funcs.(fid).block_counts.(lbl) <- round v)
+    (fun (fid, lbl) v -> Vm.Profile.set_block_weight p fid lbl (round v))
     (sum (fun a -> a.blocks));
   Hashtbl.iter
-    (fun (fid, src, dst) v ->
-      let c = round v in
-      if c <> 0 then Hashtbl.replace p.funcs.(fid).arc_counts.(src) dst c)
+    (fun (fid, src, dst) v -> Vm.Profile.set_arc_weight p fid src dst (round v))
     (sum (fun a -> a.arcs));
   Hashtbl.iter
-    (fun fid v -> p.entry_counts.(fid) <- round v)
+    (fun fid v -> Vm.Profile.set_func_weight p fid (round v))
     (sum (fun a -> a.entries));
   Hashtbl.iter
-    (fun (fid, blk, callee) v ->
-      let c = round v in
-      if c <> 0 then Hashtbl.replace p.site_counts (fid, blk, callee) c)
+    (fun (caller, block, callee) v ->
+      Vm.Profile.set_site_weight p ~caller ~block ~callee (round v))
     (sum (fun a -> a.calls));
   p.runs <- 1;
   p

@@ -168,18 +168,14 @@ let run ?(observer = null_observer) ?block_sink ?(fuel = 2_000_000_000)
     | Cfg.Switch (o, cases, default) ->
       st.branches <- st.branches + 1;
       let scrutinee = ev !regs o in
-      let l = ref default in
-      (try
-         Array.iter
-           (fun (value, target) ->
-             if value = scrutinee then begin
-               l := target;
-               raise Exit
-             end)
-           cases
-       with Exit -> ());
-      st.obs.on_arc !fid !label !l;
-      label := !l
+      let n = Array.length cases in
+      let i = ref 0 in
+      while !i < n && fst (Array.unsafe_get cases !i) <> scrutinee do
+        incr i
+      done;
+      let l = if !i < n then snd (Array.unsafe_get cases !i) else default in
+      st.obs.on_arc !fid !label l;
+      label := l
     | Cfg.Ret o -> (
       let value = match o with Some o -> ev !regs o | None -> 0 in
       match !stack with
@@ -198,7 +194,8 @@ let run ?(observer = null_observer) ?block_sink ?(fuel = 2_000_000_000)
         label := fr.ret_label)
     | Cfg.Call { callee; args; dst; ret_to } ->
       st.calls <- st.calls + 1;
-      let callee_fid = Prog.func_index prog callee in
+      let callee_fid = prog.callees.(!fid).(!label) in
+      if callee_fid < 0 then raise (Prog.Unknown_function callee);
       st.obs.on_call !fid !label callee_fid;
       let callee_func = prog.funcs.(callee_fid) in
       let callee_regs = Array.make callee_func.nregs 0 in

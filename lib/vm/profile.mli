@@ -3,17 +3,14 @@
 
 open Ir
 
-type func_profile = {
-  block_counts : int array;
-  arc_counts : (int, int) Hashtbl.t array;
-      (** [arc_counts.(src)] maps [dst -> count] for intra-function arcs *)
-}
+type func_profile
+(** Per-function counters.  Arc counts are indexed by successor slot, in
+    {!Ir.Cfg.successors} order; call counts by call block.  Read them
+    through the accessors below. *)
 
 type t = {
   prog : Prog.program;
   funcs : func_profile array;
-  site_counts : (int * Cfg.label * int, int) Hashtbl.t;
-      (** [(caller fid, block, callee fid) -> dynamic call count] *)
   entry_counts : int array;  (** per function: number of invocations *)
   mutable runs : int;
   mutable dyn_insns : int;
@@ -37,10 +34,38 @@ val func_weight : t -> int -> int
 val site_weight : t -> caller:int -> block:Cfg.label -> callee:int -> int
 
 val out_arcs : t -> int -> Cfg.label -> (Cfg.label * int) list
-(** Outgoing intra-function arcs of a block with their counts. *)
+(** Outgoing intra-function arcs of a block with nonzero counts.  Layout
+    steps break weight ties by position in this list; the order is that
+    of a [Hashtbl] keyed by destination, filled as each arc was first
+    counted. *)
 
 val in_arcs : t -> int -> (Cfg.label * int) list array
 (** Incoming intra-function arcs for every block of the function. *)
 
+val iter_arcs : t -> int -> (Cfg.label -> Cfg.label -> int -> unit) -> unit
+(** [iter_arcs t fid f] calls [f src dst count] for every intra-function
+    arc of the function with a nonzero count. *)
+
 val call_sites_of : t -> int -> (Cfg.label * int * int) list
-(** All call sites in the function: [(block, callee fid, count)]. *)
+(** Executed call sites in the function, by ascending block:
+    [(block, callee fid, count)]. *)
+
+val fold_sites : t -> (int -> Cfg.label -> int -> int -> 'a -> 'a) -> 'a -> 'a
+(** [fold_sites t f init] folds [f caller block callee count] over every
+    call site of the program with a nonzero count. *)
+
+(** {2 Setters}
+
+    For profiles assembled from outside counts (the layout service's
+    uploads) and for tests that corrupt a profile on purpose.  A
+    profile that [Placement.Pipeline.run] returned is never mutated. *)
+
+val set_block_weight : t -> int -> Cfg.label -> int -> unit
+val set_func_weight : t -> int -> int -> unit
+
+val set_arc_weight : t -> int -> Cfg.label -> Cfg.label -> int -> unit
+(** Raises [Invalid_argument] unless [dst] is a CFG successor of [src]. *)
+
+val set_site_weight :
+  t -> caller:int -> block:Cfg.label -> callee:int -> int -> unit
+(** Raises [Invalid_argument] unless [block] ends in a call to [callee]. *)

@@ -27,8 +27,9 @@ let prop_inline_preserves =
           max_program_growth = 5.;
         }
       in
-      let inlined, _ =
-        Placement.Inline.expand ~config p ~inputs:[ Vm.Io.input [] ]
+      let inputs = [ Vm.Io.input [] ] in
+      let inlined, _, _ =
+        Placement.Inline.expand ~config (Vm.Profile.profile p inputs) ~inputs
       in
       Ir.Check.program inlined;
       Gen_prog.observe_lowered p = Gen_prog.observe_lowered inlined)

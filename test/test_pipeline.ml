@@ -113,6 +113,76 @@ let ablation_no_inline () =
   Alcotest.(check bool) "program unchanged" true
     (p.Placement.Pipeline.program == p.Placement.Pipeline.original)
 
+(* Every registry benchmark through the pipeline on its real profiling
+   inputs, with the number of profile passes each run made.  Shared by
+   the two tests below. *)
+let registry_pipelines =
+  lazy
+    (let passes = Obs.Metrics.counter "pipeline.profile_passes" in
+     let was_enabled = Obs.Metrics.enabled () in
+     Obs.Metrics.set_enabled true;
+     Fun.protect
+       ~finally:(fun () -> Obs.Metrics.set_enabled was_enabled)
+       (fun () ->
+         List.map
+           (fun b ->
+             let before = Obs.Metrics.value passes in
+             let inputs = Workloads.Bench.profile_inputs b in
+             let p = Placement.Pipeline.run (Workloads.Bench.program b) ~inputs in
+             (b, inputs, p, Obs.Metrics.value passes - before))
+           Workloads.Registry.all))
+
+(* One pass for the original program, one per inlining round that
+   changed it, and none that repeats a profile already in hand. *)
+let profile_passes_pinned () =
+  let got =
+    List.map
+      (fun (b, _, _, n) -> (b.Workloads.Bench.name, n))
+      (Lazy.force registry_pipelines)
+  in
+  Alcotest.(check (list (pair string int)))
+    "profile passes per benchmark"
+    [
+      ("cccp", 4); ("cmp", 1); ("compress", 2); ("grep", 4); ("lex", 4);
+      ("make", 3); ("tee", 1); ("tar", 2); ("wc", 2); ("yacc", 4);
+    ]
+    got;
+  Alcotest.(check int) "suite total" 27
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 got)
+
+(* A reused profile is indistinguishable from a fresh pass over the
+   shipped program: every counter the accessors expose, and the totals. *)
+let reused_profile_is_fresh () =
+  List.iter
+    (fun (b, inputs, (p : Placement.Pipeline.t), _) ->
+      let name = b.Workloads.Bench.name in
+      let got = p.profile in
+      let fresh = Vm.Profile.profile p.program inputs in
+      let check what = Alcotest.(check int) (name ^ ": " ^ what) in
+      check "runs" fresh.runs got.runs;
+      check "dyn_insns" fresh.dyn_insns got.dyn_insns;
+      check "dyn_blocks" fresh.dyn_blocks got.dyn_blocks;
+      check "dyn_calls" fresh.dyn_calls got.dyn_calls;
+      check "dyn_branches" fresh.dyn_branches got.dyn_branches;
+      Array.iteri
+        (fun fid (f : Ir.Prog.func) ->
+          let same what get =
+            if get fresh <> get got then
+              Alcotest.failf "%s: f%d %s differs from a fresh profile" name
+                fid what
+          in
+          same "func_weight" (fun pr -> Vm.Profile.func_weight pr fid);
+          same "call sites" (fun pr -> Vm.Profile.call_sites_of pr fid);
+          Array.iteri
+            (fun l _ ->
+              same (Printf.sprintf "b%d weight" l) (fun pr ->
+                  Vm.Profile.block_weight pr fid l);
+              same (Printf.sprintf "b%d out_arcs" l) (fun pr ->
+                  Vm.Profile.out_arcs pr fid l))
+            f.blocks)
+        p.program.funcs)
+    (Lazy.force registry_pipelines)
+
 let suite =
   [
     Alcotest.test_case "structural invariants" `Quick structural_invariants;
@@ -122,4 +192,8 @@ let suite =
     Alcotest.test_case "optimized not worse than natural" `Quick
       optimized_not_worse;
     Alcotest.test_case "ablation: inlining off" `Quick ablation_no_inline;
+    Alcotest.test_case "profile passes pinned per benchmark" `Slow
+      profile_passes_pinned;
+    Alcotest.test_case "reused profile equals a fresh pass" `Slow
+      reused_profile_is_fresh;
   ]

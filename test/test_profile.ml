@@ -1,6 +1,7 @@
 (* Profiling tests: block/arc/call-site weights and flow-conservation
    invariants of the weighted control graph. *)
 
+open Ir.Ast.Dsl
 open Helpers
 
 let accumulation () =
@@ -98,10 +99,93 @@ let entry_weights () =
         f.Ir.Prog.blocks)
     p.Ir.Prog.funcs
 
+(* ---------------- differential: dense counters vs the oracle --------- *)
+
+let check_against_reference name prog inputs =
+  let prof = Vm.Profile.profile prog inputs in
+  match profile_disagreements prof (Ref_profile.profile prog inputs) with
+  | [] -> prof
+  | bad ->
+    Alcotest.failf "%s: %d accessor(s) disagree with the reference, first %s"
+      name (List.length bad) (List.hd bad)
+
+(* A switch whose cases share a target (values 1 and 2) and a call whose
+   return continuation is an arc of its own: the two transfers the dense
+   slot layout has to get right. *)
+let switch_call_prog =
+  main_prog
+    ~funcs:[ func "bump" [ "x" ] [ ret (v "x" +% i 1) ] ]
+    [
+      decl "acc" (i 0);
+      for_
+        [ decl "k" (i 0) ]
+        (v "k" <% i 12)
+        [ incr_ "k" ]
+        [
+          switch
+            (v "k" %% i 4)
+            [
+              ([ 0 ], [ set "acc" (call "bump" [ v "acc" ]); break_ ]);
+              ([ 1; 2 ], [ set "acc" (v "acc" +% i 2); break_ ]);
+            ]
+            [];
+        ];
+      ret (v "acc");
+    ]
+
+let switch_and_call_fixture () =
+  let p = Ir.Lower.program switch_call_prog in
+  let prof = check_against_reference "fixture" p [ Vm.Io.input [] ] in
+  let main = p.Ir.Prog.entry in
+  let blocks = p.Ir.Prog.funcs.(main).Ir.Prog.blocks in
+  let find pick =
+    let found = ref None in
+    Array.iteri
+      (fun l b -> if !found = None then found := pick l b.Ir.Cfg.term)
+      blocks;
+    match !found with Some x -> x | None -> Alcotest.fail "fixture shape"
+  in
+  let sw, shared =
+    find (fun l -> function
+      | Ir.Cfg.Switch (_, cases, _) ->
+        let targets = Array.to_list (Array.map snd cases) in
+        let shared t = List.length (List.filter (( = ) t) targets) > 1 in
+        Option.map (fun t -> (l, t)) (List.find_opt shared targets)
+      | _ -> None)
+  in
+  Alcotest.(check int) "values 1 and 2 share one arc" 6
+    (Vm.Profile.arc_weight prof main sw shared);
+  let call, ret_to =
+    find (fun l -> function
+      | Ir.Cfg.Call { ret_to; _ } -> Some (l, ret_to) | _ -> None)
+  in
+  Alcotest.(check int) "call block -> return continuation" 3
+    (Vm.Profile.arc_weight prof main call ret_to);
+  Alcotest.(check int) "calls from the site" 3
+    (Vm.Profile.site_weight prof ~caller:main ~block:call
+       ~callee:(Ir.Prog.func_index p "bump"))
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"profile accessors match the reference profiler"
+    ~count:200
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let p = Ir.Lower.program (Gen_prog.generate seed) in
+      let inputs = [ Vm.Io.input []; Vm.Io.input [] ] in
+      let prof = Vm.Profile.profile p inputs in
+      match profile_disagreements prof (Ref_profile.profile p inputs) with
+      | [] -> true
+      | bad :: _ as all ->
+        QCheck.Test.fail_reportf "%d disagreement(s), first %s"
+          (List.length all) bad)
+
 let suite =
   [
     Alcotest.test_case "accumulation across runs" `Quick accumulation;
     Alcotest.test_case "flow conservation" `Quick flow_conservation;
     Alcotest.test_case "in_arcs transposes out_arcs" `Quick transpose;
     Alcotest.test_case "block weight = incoming + entries" `Quick entry_weights;
+    Alcotest.test_case "switch and call arcs match the reference" `Quick
+      switch_and_call_fixture;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
   ]

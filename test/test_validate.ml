@@ -66,7 +66,7 @@ let zero_weight_entry_block () =
     (has_error (Placement.Validate.flow prof));
   (* Zero out the entry block's weight: inflow (one program entry) no
      longer matches, and neither does its outflow. *)
-  prof.Vm.Profile.funcs.(p.Ir.Prog.entry).Vm.Profile.block_counts.(0) <- 0;
+  Vm.Profile.set_block_weight prof p.Ir.Prog.entry 0 0;
   let ds = Placement.Validate.flow prof in
   Alcotest.(check bool) "caught" true (has_error ds);
   let d = List.hd (Ir.Diag.errors ds) in

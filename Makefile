@@ -120,9 +120,11 @@ stream-smoke:
 
 # Layout service end to end: the committed golden request stream must
 # replay byte-identically to the committed responses (serially and with
-# a 2-lane pool), a 200-request seeded chaos campaign must finish with
-# zero crashes and one well-formed response per request, and the chaos
-# report plus the replayed responses must re-parse with checkjson.
+# a 2-lane pool); under cap pressure (one-entry memo and map caches, so
+# eviction is constant) every response but stats must still match; a
+# 200-request seeded chaos campaign must finish with zero crashes and
+# one well-formed response per request; and the chaos report plus the
+# replayed responses must re-parse with checkjson.
 # Last, over a real Unix socket: a client that pipelines 2000 requests
 # and hangs up unread must not take the daemon down — the next client
 # still gets its answer and a clean shutdown.
@@ -133,6 +135,13 @@ serve-smoke:
 	dune exec bin/serve.exe -- --replay test/vectors/serve/requests.ndjson \
 	  -b cmp -q -j 2 > _serve/replay-j2.ndjson
 	cmp _serve/replay-j2.ndjson test/vectors/serve/responses.ndjson
+	dune exec bin/serve.exe -- --replay test/vectors/serve/requests.ndjson \
+	  -b cmp -q --memo-cap 1 --map-cap 1 -j 2 > _serve/replay-capped.ndjson
+	grep -v '"request":"stats"' _serve/replay-capped.ndjson \
+	  > _serve/capped-answers.ndjson
+	grep -v '"request":"stats"' test/vectors/serve/responses.ndjson \
+	  > _serve/golden-answers.ndjson
+	cmp _serve/capped-answers.ndjson _serve/golden-answers.ndjson
 	dune exec bin/serve.exe -- --chaos --chaos-n 200 \
 	  --chaos-out _serve/chaos.json -q
 	dune exec bin/checkjson.exe -- _serve/chaos.json

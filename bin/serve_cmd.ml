@@ -63,10 +63,6 @@ let memo_cap_arg =
   cap_arg "memo-cap" Serve.Daemon.default_config.memo_cap
     "Per-benchmark LRU bound on memoized simulation results."
 
-let strategy_cap_arg =
-  cap_arg "strategy-cap" Serve.Daemon.default_config.strategy_cap
-    "Per-benchmark LRU bound on memoized strategy maps."
-
 let map_cap_arg =
   let doc = "LRU bound on custom-profile address maps." in
   Arg.(
@@ -91,7 +87,7 @@ let slow_arg =
 let config_term =
   Term.(
     const (fun benches scale deadline_ms max_request_bytes profile_cap
-               memo_cap strategy_cap map_cap epoch_window slow_ms ->
+               memo_cap map_cap epoch_window slow_ms ->
         {
           Serve.Daemon.default_config with
           benches;
@@ -100,13 +96,12 @@ let config_term =
           max_request_bytes;
           profile_cap;
           memo_cap;
-          strategy_cap;
           map_cap;
           epoch_window;
           slow_ms;
         })
     $ benches_arg $ scale_arg $ deadline_arg $ max_bytes_arg
-    $ profile_cap_arg $ memo_cap_arg $ strategy_cap_arg $ map_cap_arg
+    $ profile_cap_arg $ memo_cap_arg $ map_cap_arg
     $ window_arg $ slow_arg)
 
 let jobs_term =

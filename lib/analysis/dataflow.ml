@@ -1,7 +1,6 @@
-(* Iterative bit-vector dataflow: a round-robin worklist over an
-   explicit graph, with the meet taken over flow-predecessors (graph
-   predecessors for a forward problem, successors for a backward one)
-   and the classic gen/kill transfer.
+(* Iterative forward bit-vector dataflow: a round-robin worklist over an
+   explicit graph, with the meet taken over graph predecessors and the
+   classic gen/kill transfer.
 
    Interior nodes start at the confluence identity (empty set for Union,
    full set for Intersection) so the first meet is a plain copy; nodes
@@ -11,7 +10,6 @@
 
 open Ir
 
-type direction = Forward | Backward
 type confluence = Union | Intersection
 
 type problem = {
@@ -21,7 +19,6 @@ type problem = {
   preds : int -> int list;
   gen : int -> Bitset.t;
   kill : int -> Bitset.t;
-  direction : direction;
   confluence : confluence;
   boundary : int list;
   boundary_value : Bitset.t;
@@ -53,13 +50,6 @@ let solve ?max_iters (p : problem) : solution =
         s)
   in
   let in_ = init () and out = init () in
-  (* Flow-direction views: inputs of a node meet over its flow-preds,
-     and a changed output reschedules its flow-succs. *)
-  let flow_preds, flow_succs =
-    match p.direction with
-    | Forward -> (p.preds, p.succs)
-    | Backward -> (p.succs, p.preds)
-  in
   let boundary = Array.make n false in
   List.iter
     (fun b ->
@@ -74,8 +64,7 @@ let solve ?max_iters (p : problem) : solution =
       Queue.add v queue
     end
   in
-  (* Seed in reverse-flow order so one sweep is often enough; the
-     boundary nodes come first. *)
+  (* Seed with the boundary nodes first, then every node in order. *)
   List.iter push p.boundary;
   for v = 0 to n - 1 do
     push v
@@ -94,9 +83,9 @@ let solve ?max_iters (p : problem) : solution =
     let v = Queue.pop queue in
     on_list.(v) <- false;
     incr iterations;
-    (* Meet over flow-predecessors (the boundary nodes additionally keep
-       their boundary value in the mix). *)
-    let preds = flow_preds v in
+    (* Meet over predecessors (the boundary nodes additionally keep their
+       boundary value in the mix). *)
+    let preds = p.preds v in
     if preds <> [] || boundary.(v) then begin
       let acc = Bitset.create p.nbits in
       (match p.confluence with
@@ -122,7 +111,7 @@ let solve ?max_iters (p : problem) : solution =
       Bitset.transfer ~gen:(p.gen v) ~kill:(p.kill v) ~src:in_.(v)
         ~dst:out.(v)
     in
-    if changed then List.iter push (flow_succs v)
+    if changed then List.iter push (p.succs v)
   done;
   Obs.Metrics.incr ~by:!iterations iterations_total;
   if !capped then
@@ -151,7 +140,6 @@ type 'a value_problem = {
   v_nnodes : int;
   v_succs : int -> int list;
   v_preds : int -> int list;
-  v_direction : direction;
   v_boundary : int list;
   v_boundary_value : 'a;
   v_lattice : 'a lattice;
@@ -172,11 +160,6 @@ let solve_values ?max_iters (p : 'a value_problem) : 'a value_solution =
   let in_ = Array.init n (fun _ -> lat.make ())
   and out = Array.init n (fun _ -> lat.make ()) in
   let scratch = lat.make () in
-  let flow_preds, flow_succs =
-    match p.v_direction with
-    | Forward -> (p.v_preds, p.v_succs)
-    | Backward -> (p.v_succs, p.v_preds)
-  in
   let boundary = Array.make n false in
   List.iter
     (fun b ->
@@ -209,7 +192,7 @@ let solve_values ?max_iters (p : 'a value_problem) : 'a value_solution =
     let v = Queue.pop queue in
     on_list.(v) <- false;
     incr iterations;
-    let preds = flow_preds v in
+    let preds = p.v_preds v in
     if preds <> [] || boundary.(v) then begin
       let first = ref true in
       let meet src =
@@ -225,7 +208,7 @@ let solve_values ?max_iters (p : 'a value_problem) : 'a value_solution =
     p.v_transfer v ~src:in_.(v) ~dst:scratch;
     if not (lat.equal scratch out.(v)) then begin
       lat.assign ~dst:out.(v) scratch;
-      List.iter push (flow_succs v)
+      List.iter push (p.v_succs v)
     end
   done;
   Obs.Metrics.incr ~by:!iterations iterations_total;

@@ -1,16 +1,15 @@
-(** Generic iterative bit-vector dataflow over an explicit flow graph.
+(** Generic iterative forward bit-vector dataflow over an explicit flow
+    graph.
 
-    A problem names its universe size, per-node gen/kill sets, direction
-    and confluence operator; {!solve} runs a worklist to the (unique,
-    by monotonicity) fixpoint.  Reachability, liveness and the linter's
-    reaching-weights checks are all instances. *)
+    A problem names its universe size, per-node gen/kill sets and
+    confluence operator; {!solve} runs a worklist to the (unique, by
+    monotonicity) fixpoint.  Reachability and the linter's
+    reaching-weights checks are instances. *)
 
 open Ir
 
-type direction = Forward | Backward
-
 type confluence =
-  | Union  (** may-analyses: reachability, liveness *)
+  | Union  (** may-analyses: reachability *)
   | Intersection  (** must-analyses: availability, dominance-style facts *)
 
 type problem = {
@@ -20,18 +19,14 @@ type problem = {
   preds : int -> int list;
   gen : int -> Bitset.t;
   kill : int -> Bitset.t;
-  direction : direction;
   confluence : confluence;
-  boundary : int list;
-      (** boundary nodes: flow-graph entries for a forward problem,
-          exits for a backward one *)
+  boundary : int list;  (** boundary nodes: the flow-graph entries *)
   boundary_value : Bitset.t;  (** input value at the boundary nodes *)
 }
 
 type solution = {
   in_ : Bitset.t array;
-      (** value flowing into each node's transfer function (block entry
-          for forward problems, block exit for backward ones) *)
+      (** value flowing into each node's transfer function (block entry) *)
   out : Bitset.t array;  (** value after the node's transfer function *)
   iterations : int;  (** worklist pops until the fixpoint *)
   capped : bool;
@@ -62,7 +57,6 @@ type 'a value_problem = {
   v_nnodes : int;
   v_succs : int -> int list;
   v_preds : int -> int list;
-  v_direction : direction;
   v_boundary : int list;
   v_boundary_value : 'a;
   v_lattice : 'a lattice;

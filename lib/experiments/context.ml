@@ -14,10 +14,10 @@
    makes it available to every experiment with no new plumbing here.
 
    Simulation results are memoized per (address map, trace, cache
-   configuration) in a hashtable: maps and traces are interned to small
-   integer ids on first sight (identity-keyed, which is why every map
-   getter below is itself memoized), so a lookup costs one hash probe
-   rather than a scan of everything simulated so far.
+   configuration) in a [Placement.Lru] table: maps and traces are
+   interned to small integer ids on first sight (identity-keyed, which
+   is why every map getter below is itself memoized), so a lookup costs
+   one hash probe rather than a scan of everything simulated so far.
 
    Domain safety: each entry carries one mutex guarding all of its
    mutable state — the lazies (concurrently forcing a [Lazy.t] is
@@ -29,38 +29,30 @@
    other tasks while it waits — tasks that may need this very lock.
    Two domains can therefore race to simulate the same uncached
    configuration; both compute the identical deterministic result and
-   [Hashtbl.replace] makes the double-fill harmless, so results are
-   bit-identical to the serial run and only the memo-miss count can
-   drift (bounded by the rare same-entry overlap). *)
-
-type cached = { result : Sim.Driver.result; mutable last_used : int }
+   [Lru.add] replaces, so the double-fill is harmless: results are
+   bit-identical to the serial run and only the memo-miss count (and,
+   under a cap, the eviction order) can drift. *)
 
 type entry = {
   bench : Workloads.Bench.t;
   lock : Mutex.t; (* guards every mutable/lazy field below *)
-  memo_cap : int option;
-      (* LRU bound on [sim_cache] entries; [None] = unbounded (the CLI
-         default — a table run's working set is the whole table) *)
-  strategy_cap : int option; (* LRU bound on [strategy_maps] *)
-  mutable memo_tick : int; (* LRU clock, monotone under the lock *)
-  mutable memo_evicted : int;
-      (* per-context eviction count — live even with metrics off, so a
-         resident service can report it deterministically *)
   pipeline : Placement.Pipeline.t Lazy.t;
   pipeline_noinline : Placement.Pipeline.t Lazy.t; (* inlining ablated *)
   trace : Sim.Trace.t Lazy.t; (* inlined program, trace input *)
   original_trace : Sim.Trace.t Lazy.t; (* pre-inlining program *)
   lazy_original_map : Placement.Address_map.t Lazy.t;
   mutable strategy_maps : (string * Placement.Address_map.t) list;
-      (* strategy id -> map of the inlined program under that strategy,
-         most recently used first (so the cap drops the coldest) *)
+      (* strategy id -> map of the inlined program under that strategy;
+         bounded by the registered strategy ids, so never evicted *)
   mutable warnings : Ir.Diag.t list;
       (* degradation warnings recorded during this entry's lifetime,
          newest first (e.g. a strategy that raised and fell back) *)
   mutable scaled_maps : (float * Placement.Address_map.t) list;
   mutable map_ids : (Placement.Address_map.t * int) list;
   mutable trace_ids : (Sim.Trace.t * int) list;
-  sim_cache : (int * int * Icache.Config.t, cached) Hashtbl.t;
+  sim_cache : (int * int * Icache.Config.t, Sim.Driver.result) Placement.Lru.t;
+      (* bounded by [memo_cap] when set; [None] = unbounded (the CLI
+         default — a table run's working set is the whole table) *)
 }
 
 type t = entry list
@@ -82,11 +74,10 @@ let strategy_fallbacks =
 let memo_evictions =
   Obs.Metrics.counter "context.memo_evictions"
     ~help:
-      "memoized simulation results and strategy maps dropped by the LRU \
-       caps (long-running services bound their residency; CLI runs \
-       default to unbounded)"
+      "memoized simulation results dropped by the LRU cap (long-running \
+       services bound their residency; CLI runs default to unbounded)"
 
-let make_entry ~engine ?memo_cap ?strategy_cap bench =
+let make_entry ~engine ?memo_cap bench =
   let bench_attr = [ ("bench", bench.Workloads.Bench.name) ] in
   let engine_attr = ("engine", Sim.Trace.engine_name engine) in
   let pipeline =
@@ -137,10 +128,6 @@ let make_entry ~engine ?memo_cap ?strategy_cap bench =
   {
     bench;
     lock = Mutex.create ();
-    memo_cap;
-    strategy_cap;
-    memo_tick = 0;
-    memo_evicted = 0;
     pipeline;
     pipeline_noinline;
     trace;
@@ -151,24 +138,19 @@ let make_entry ~engine ?memo_cap ?strategy_cap bench =
     scaled_maps = [];
     map_ids = [];
     trace_ids = [];
-    sim_cache = Hashtbl.create 64;
+    sim_cache = Placement.Lru.create ?cap:memo_cap ();
   }
 
-let create ?(engine = Sim.Trace.Streaming) ?(scale = 1) ?memo_cap
-    ?strategy_cap ?names () =
-  let check_cap what = function
-    | Some c when c < 1 ->
-      invalid_arg (Printf.sprintf "Context.create: %s must be >= 1" what)
-    | _ -> ()
-  in
-  check_cap "memo_cap" memo_cap;
-  check_cap "strategy_cap" strategy_cap;
+let create ?(engine = Sim.Trace.Streaming) ?(scale = 1) ?memo_cap ?names () =
+  (match memo_cap with
+  | Some c when c < 1 -> invalid_arg "Context.create: memo_cap must be >= 1"
+  | _ -> ());
   let benches =
     match names with
     | None -> Workloads.Registry.suite ~scale
     | Some names -> List.map (Workloads.Registry.find ~scale) names
   in
-  List.map (make_entry ~engine ?memo_cap ?strategy_cap) benches
+  List.map (make_entry ~engine ?memo_cap) benches
 
 let entries t = t
 
@@ -186,11 +168,14 @@ let find t name =
   | Some e -> e
   | None -> raise (Workloads.Registry.Unknown_benchmark name)
 
+let bench e = e.bench
 let name e = e.bench.Workloads.Bench.name
 
 let locked e f =
   Mutex.lock e.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock e.lock) f
+
+let evictions e = locked e (fun () -> Placement.Lru.evictions e.sim_cache)
 
 (* All lazies are forced under the entry lock.  Their bodies force
    sibling lazies through the closure variables directly (never through
@@ -219,12 +204,7 @@ let strategy_map e (s : Placement.Strategy.t) =
   let p = pipeline e (* outside the critical section below *) in
   locked e @@ fun () ->
   match List.assoc_opt id e.strategy_maps with
-  | Some map ->
-    (* Refresh LRU position: the cap below drops the coldest entry. *)
-    if e.strategy_cap <> None then
-      e.strategy_maps <-
-        (id, map) :: List.filter (fun (i, _) -> i <> id) e.strategy_maps;
-    map
+  | Some map -> map
   | None ->
     let map =
       try
@@ -237,33 +217,20 @@ let strategy_map e (s : Placement.Strategy.t) =
           | Ir.Diag.Fail d -> Ir.Diag.to_string d
           | _ -> Printexc.to_string exn
         in
-        (* Warn and count once per strategy id, even when the memoized
-           fallback map was LRU-evicted and is being rebuilt. *)
-        if
-          not
-            (List.exists (fun d -> d.Ir.Diag.strategy = Some id) e.warnings)
-        then begin
-          let d =
-            Ir.Diag.make ~severity:Ir.Diag.Warning ~stage:Ir.Diag.Strategy
-              ~strategy:id "%s: strategy failed (%s); fell back to the \
-                            natural layout"
-              (name e) detail
-          in
-          e.warnings <- d :: e.warnings;
-          (* Surface the degradation the moment it happens — table
-             rendering may flush much later (or never, on a crash). *)
-          Obs.Log.warn_raw (Ir.Diag.to_string d);
-          Obs.Metrics.incr strategy_fallbacks
-        end;
+        let d =
+          Ir.Diag.make ~severity:Ir.Diag.Warning ~stage:Ir.Diag.Strategy
+            ~strategy:id "%s: strategy failed (%s); fell back to the \
+                          natural layout"
+            (name e) detail
+        in
+        e.warnings <- d :: e.warnings;
+        (* Surface the degradation the moment it happens — table
+           rendering may flush much later (or never, on a crash). *)
+        Obs.Log.warn_raw (Ir.Diag.to_string d);
+        Obs.Metrics.incr strategy_fallbacks;
         p.Placement.Pipeline.natural
     in
     e.strategy_maps <- (id, map) :: e.strategy_maps;
-    (match e.strategy_cap with
-    | Some cap when List.length e.strategy_maps > cap ->
-      e.strategy_maps <- List.filteri (fun i _ -> i < cap) e.strategy_maps;
-      e.memo_evicted <- e.memo_evicted + 1;
-      Obs.Metrics.incr memo_evictions
-    | _ -> ());
     map
 
 let warnings e = locked e (fun () -> List.rev e.warnings)
@@ -336,36 +303,6 @@ let trace_id_unlocked e trace =
     e.trace_ids <- (trace, i) :: e.trace_ids;
     i
 
-(* LRU bookkeeping for the simulation memo.  [tick_unlocked] advances
-   the entry's clock; eviction scans for the stalest entry — O(n) per
-   eviction, fine at the cap sizes a resident service uses (hundreds).
-   Under a multi-lane pool the eviction order can drift exactly like the
-   memo-miss count already does; results never depend on it. *)
-let tick_unlocked e =
-  e.memo_tick <- e.memo_tick + 1;
-  e.memo_tick
-
-let evict_sim_unlocked e =
-  match e.memo_cap with
-  | None -> ()
-  | Some cap ->
-    while Hashtbl.length e.sim_cache > cap do
-      let victim =
-        Hashtbl.fold
-          (fun k v acc ->
-            match acc with
-            | Some (_, stamp) when stamp <= v.last_used -> acc
-            | _ -> Some (k, v.last_used))
-          e.sim_cache None
-      in
-      match victim with
-      | None -> assert false (* length > cap >= 1 *)
-      | Some (k, _) ->
-        Hashtbl.remove e.sim_cache k;
-        e.memo_evicted <- e.memo_evicted + 1;
-        Obs.Metrics.incr memo_evictions
-    done
-
 (* Simulate every configuration of [configs] on (map, trace), reusing
    cached results and running all uncached configurations through the
    single-pass multi-configuration engine in one trace walk.  The sweep
@@ -380,7 +317,7 @@ let simulate_many e configs map trace =
         let missing =
           List.sort_uniq compare
             (List.filter
-               (fun c -> not (Hashtbl.mem e.sim_cache (mid, tid, c)))
+               (fun c -> not (Placement.Lru.mem e.sim_cache (mid, tid, c)))
                configs)
         in
         (mid, tid, missing))
@@ -396,18 +333,14 @@ let simulate_many e configs map trace =
     let results = Sim.Driver.simulate_many missing map trace in
     locked e (fun () ->
         List.iter2
-          (fun c r ->
-            Hashtbl.replace e.sim_cache (mid, tid, c)
-              { result = r; last_used = tick_unlocked e })
+          (fun c r -> Placement.Lru.add e.sim_cache (mid, tid, c) r)
           missing results));
   locked e (fun () ->
       let out =
         List.map
           (fun c ->
-            match Hashtbl.find_opt e.sim_cache (mid, tid, c) with
-            | Some cached ->
-              cached.last_used <- tick_unlocked e;
-              cached.result
+            match Placement.Lru.find e.sim_cache (mid, tid, c) with
+            | Some r -> r
             | None ->
               Ir.Diag.error ~stage:Ir.Diag.Simulation
                 "%s: configuration missing from the simulation cache after \
@@ -417,7 +350,7 @@ let simulate_many e configs map trace =
       in
       (* Evict only after this call's own results are read back, so a
          cap smaller than one sweep still returns correct results. *)
-      evict_sim_unlocked e;
+      Obs.Metrics.incr ~by:(Placement.Lru.trim e.sim_cache) memo_evictions;
       out)
 
 let simulate e config map trace =

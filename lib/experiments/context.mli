@@ -4,33 +4,9 @@
     results — computed lazily and at most once, since every table draws
     on the same artifacts. *)
 
-type cached = { result : Sim.Driver.result; mutable last_used : int }
-(** A memoized simulation result with its LRU stamp. *)
-
-type entry = {
-  bench : Workloads.Bench.t;
-  lock : Mutex.t;  (** guards every mutable/lazy field of the entry *)
-  memo_cap : int option;
-      (** LRU bound on memoized simulation results; [None] = unbounded *)
-  strategy_cap : int option;  (** LRU bound on memoized strategy maps *)
-  mutable memo_tick : int;
-  mutable memo_evicted : int;
-      (** memo + strategy-map evictions in this entry; unlike the global
-          {!memo_evictions} counter this is per-context state, live even
-          with the metrics registry off — what a resident service
-          reports in its own stats *)
-  pipeline : Placement.Pipeline.t Lazy.t;
-  pipeline_noinline : Placement.Pipeline.t Lazy.t;
-  trace : Sim.Trace.t Lazy.t;
-  original_trace : Sim.Trace.t Lazy.t;
-  lazy_original_map : Placement.Address_map.t Lazy.t;
-  mutable strategy_maps : (string * Placement.Address_map.t) list;
-  mutable warnings : Ir.Diag.t list;
-  mutable scaled_maps : (float * Placement.Address_map.t) list;
-  mutable map_ids : (Placement.Address_map.t * int) list;
-  mutable trace_ids : (Sim.Trace.t * int) list;
-  sim_cache : (int * int * Icache.Config.t, cached) Hashtbl.t;
-}
+type entry
+(** One benchmark's lazily built artifacts and memo tables, guarded by
+    its own mutex. *)
 
 type t = entry list
 
@@ -38,7 +14,6 @@ val create :
   ?engine:Sim.Trace.engine ->
   ?scale:int ->
   ?memo_cap:int ->
-  ?strategy_cap:int ->
   ?names:string list ->
   unit ->
   t
@@ -48,12 +23,13 @@ val create :
     way).  [scale] > 1 substitutes the scaled-up workload variants of
     {!Workloads.Registry.suite}.
 
-    [memo_cap] / [strategy_cap] (default unbounded, right for one-shot
-    CLI runs) bound the per-entry simulation memo and strategy-map
-    tables with LRU eviction — what a long-running service sets so its
-    resident contexts cannot grow without bound.  Evictions are counted
-    in {!memo_evictions}.  Both must be [>= 1] ([Invalid_argument]
-    otherwise). *)
+    [memo_cap] (default unbounded, right for one-shot CLI runs) bounds
+    each entry's simulation memo with LRU eviction — what a
+    long-running service sets so its resident contexts cannot grow
+    without bound.  Evictions are counted in {!evictions} and
+    {!memo_evictions}.  It must be [>= 1] ([Invalid_argument]
+    otherwise).  The strategy-map table needs no cap: its keys are
+    registered strategy ids. *)
 
 val entries : t -> entry list
 
@@ -68,7 +44,14 @@ val map_entries : (entry -> 'a) -> t -> 'a list
 val find : t -> string -> entry
 (** Raises [Workloads.Registry.Unknown_benchmark]. *)
 
+val bench : entry -> Workloads.Bench.t
 val name : entry -> string
+
+val evictions : entry -> int
+(** Memoized simulation results this entry dropped by its [memo_cap];
+    per-context state, live even with the metrics registry off — what a
+    resident service reports in its own stats. *)
+
 val pipeline : entry -> Placement.Pipeline.t
 val pipeline_noinline : entry -> Placement.Pipeline.t
 val trace : entry -> Sim.Trace.t
@@ -137,5 +120,5 @@ val strategy_fallbacks : Obs.Metrics.counter
 (** Strategies that raised and degraded to the natural layout. *)
 
 val memo_evictions : Obs.Metrics.counter
-(** Memoized simulation results and strategy maps dropped by the LRU
-    caps. *)
+(** Memoized simulation results dropped by the LRU cap, across every
+    context of the process. *)

@@ -18,11 +18,11 @@ let compute ctx =
       let prof = p.Placement.Pipeline.original_profile in
       {
         name = Context.name e;
-        source_lines = Workloads.Bench.source_lines e.Context.bench;
+        source_lines = Workloads.Bench.source_lines (Context.bench e);
         runs = prof.Vm.Profile.runs;
         instructions = prof.Vm.Profile.dyn_insns;
         control = prof.Vm.Profile.dyn_branches;
-        inputs = e.Context.bench.Workloads.Bench.description;
+        inputs = (Context.bench e).Workloads.Bench.description;
       })
     ctx
 

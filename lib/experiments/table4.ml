@@ -35,7 +35,7 @@ let compute ctx =
       let counts =
         Sim.Classify.run p.Placement.Pipeline.program
           p.Placement.Pipeline.selections
-          (Workloads.Bench.trace_input e.Context.bench)
+          (Workloads.Bench.trace_input (Context.bench e))
       in
       {
         name = Context.name e;

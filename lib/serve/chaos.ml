@@ -27,7 +27,6 @@ let default_config () =
     max_request_bytes = 1 lsl 16;
     profile_cap = Some 4;
     memo_cap = Some 16;
-    strategy_cap = Some 4;
     map_cap = 4;
     benches = Some benches;
     extra_strategies = [ chaos_strategy ];

@@ -40,7 +40,7 @@ let degraded_total =
   Obs.Metrics.counter "serve.degraded"
     ~help:"Requests served in a degraded tier"
 
-let map_evictions =
+let map_eviction_counter =
   Obs.Metrics.counter "serve.map_evictions"
     ~help:"Custom-profile address maps dropped by the LRU cap"
 
@@ -73,7 +73,6 @@ type config = {
   profile_cap : int option;
   epoch_window : int;
   memo_cap : int option;
-  strategy_cap : int option;
   map_cap : int;
   scale : int;
   benches : string list option;
@@ -92,7 +91,6 @@ let default_config =
     profile_cap = Some 64;
     epoch_window = 4;
     memo_cap = Some 256;
-    strategy_cap = Some 16;
     map_cap = 32;
     scale = 1;
     benches = None;
@@ -105,21 +103,16 @@ type t = {
   context : Experiments.Context.t;
   store : Store.t;
   started_at : float;  (* wall clock at create; stats v2 uptime *)
-  lock : Mutex.t;  (* guards map_cache and the emit-time counters *)
-  mutable map_cache :
-    ((string * int * string * string) * Placement.Address_map.t) list;
-      (* (profile, revision, source kind, strategy id) -> map; MRU first *)
-  mutable absint_cache :
-    ((string * string) * Analysis.Absint.t) list;
-      (* (bench, cache geometry) -> natural-map abstract interpretation;
-         MRU first, capped like map_cache.  The classification depends
-         only on the program, the natural map and the geometry — never
-         on profile weights — so one analysis serves every profile
-         revision of a benchmark. *)
-  mutable map_evicted : int;
-      (* daemon-local twin of [map_evictions]: deterministic even with
-         the metrics registry disabled, so stats v2 can report it on
-         the replay path *)
+  lock : Mutex.t;  (* guards both caches and the emit-time counters *)
+  map_cache :
+    (string * int * string * string, Placement.Address_map.t) Placement.Lru.t;
+      (* (profile, revision, source kind, strategy id) -> map *)
+  absint_cache : (string * string, Analysis.Absint.t) Placement.Lru.t;
+      (* (bench, cache geometry) -> natural-map abstract interpretation,
+         capped like map_cache.  The classification depends only on the
+         program, the natural map and the geometry — never on profile
+         weights — so one analysis serves every profile revision of a
+         benchmark. *)
   mutable served : int;
   mutable by_type : (string * int) list;
   mutable by_status : (string * int) list;
@@ -145,7 +138,7 @@ let create ?(config = default_config) () =
     invalid_arg "Daemon.create: max_batch must be >= 1";
   let context =
     Experiments.Context.create ~scale:config.scale ?memo_cap:config.memo_cap
-      ?strategy_cap:config.strategy_cap ?names:config.benches ()
+      ?names:config.benches ()
   in
   let store = Store.create ?cap:config.profile_cap ~window:config.epoch_window () in
   {
@@ -154,9 +147,8 @@ let create ?(config = default_config) () =
     store;
     started_at = Obs.Clock.now ();
     lock = Mutex.create ();
-    map_cache = [];
-    absint_cache = [];
-    map_evicted = 0;
+    map_cache = Placement.Lru.create ~cap:config.map_cap ();
+    absint_cache = Placement.Lru.create ~cap:config.map_cap ();
     served = 0;
     by_type = [];
     by_status = [];
@@ -184,6 +176,9 @@ let with_trace trace = function
 let context t = t.context
 let store t = t.store
 
+let map_evictions t =
+  Mutex.protect t.lock @@ fun () -> Placement.Lru.evictions t.map_cache
+
 let find_strategy t id =
   match
     List.find_opt
@@ -197,35 +192,30 @@ let find_strategy t id =
 (* Custom-profile address maps                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Maps derived from uploaded profiles are cached MRU-first under a
-   key that pins the store revision, so the same snapshot always yields
-   the same physical map — which is what keeps the context's simulation
-   memo (keyed on physical map identity) hot across requests. *)
-let cached_map t ~key build =
+(* Look [key] up in one of the daemon's LRU caches under its lock,
+   building and inserting on a miss; evictions bump [counter]. *)
+let cached ?counter t cache key build =
   Mutex.protect t.lock @@ fun () ->
-  match List.assoc_opt key t.map_cache with
-  | Some m ->
-      t.map_cache <- (key, m) :: List.remove_assoc key t.map_cache;
-      m
+  match Placement.Lru.find cache key with
+  | Some v -> v
   | None ->
-      let m = build () in
-      let cache = (key, m) :: t.map_cache in
-      if List.length cache > t.config.map_cap then begin
-        t.map_cache <- List.filteri (fun i _ -> i < t.config.map_cap) cache;
-        t.map_evicted <- t.map_evicted + 1;
-        Obs.Metrics.incr map_evictions
-      end
-      else t.map_cache <- cache;
-      m
+      let v = build () in
+      Placement.Lru.add cache key v;
+      let evicted = Placement.Lru.trim cache in
+      Option.iter (Obs.Metrics.incr ~by:evicted) counter;
+      v
 
 (* Mirror of [Placement.Pipeline.map_for], over an uploaded profile
-   instead of the pipeline's own. *)
+   instead of the pipeline's own.  Cached under a key that pins the
+   store revision, so the same snapshot always yields the same physical
+   map — which is what keeps the context's simulation memo (keyed on
+   physical map identity) hot across requests. *)
 let custom_map t entry (strat : Placement.Strategy.t) ~pname ~revision ~kind
     prof =
   let pipe = Experiments.Context.pipeline entry in
   let prog = pipe.Placement.Pipeline.program in
   let key = (pname, revision, kind, strat.id) in
-  cached_map t ~key (fun () ->
+  cached ~counter:map_eviction_counter t t.map_cache key (fun () ->
       let nfuncs = Array.length prog.Ir.Prog.funcs in
       let layouts =
         Array.init nfuncs (fun fid ->
@@ -245,32 +235,17 @@ let custom_map t entry (strat : Placement.Strategy.t) ~pname ~revision ~kind
 (* Natural-map abstract interpretation, memoized per (bench, geometry)
    under the same lock and cap discipline as the custom-map cache.  The
    first request at a new geometry pays the fixpoint (a few ms on the
-   paper's programs); every later one is a list lookup, which is what
-   lets a <= 5ms deadline carry a certified answer at all. *)
+   paper's programs); every later one is a hash lookup, which is what
+   lets a <= 5ms deadline carry a certified answer at all.  Its
+   evictions are not reported: stats count custom maps only. *)
 let cached_absint t entry cache_config =
   let key =
     (Experiments.Context.name entry, Icache.Config.describe cache_config)
   in
-  Mutex.protect t.lock @@ fun () ->
-  match List.assoc_opt key t.absint_cache with
-  | Some a ->
-      t.absint_cache <- (key, a) :: List.remove_assoc key t.absint_cache;
-      a
-  | None ->
-      let prog =
-        (Experiments.Context.pipeline entry).Placement.Pipeline.program
-      in
-      let a =
-        Analysis.Absint.analyze cache_config
-          (Experiments.Context.natural_map entry)
-          prog
-      in
-      let cache = (key, a) :: t.absint_cache in
-      t.absint_cache <-
-        (if List.length cache > t.config.map_cap then
-           List.filteri (fun i _ -> i < t.config.map_cap) cache
-         else cache);
-      a
+  cached t t.absint_cache key (fun () ->
+      Analysis.Absint.analyze cache_config
+        (Experiments.Context.natural_map entry)
+        (Experiments.Context.pipeline entry).Placement.Pipeline.program)
 
 let certified_json cache_config (a : Analysis.Absint.t)
     (iv : Analysis.Absint.interval) =
@@ -590,15 +565,14 @@ let handle_stats t ~id =
       ( "evictions",
         Obs.Json.Obj
           [
-            ("profiles", Obs.Json.Int (Store.evictions_total t.store));
-            ("maps", Obs.Json.Int t.map_evicted);
-            (* Per-context count, not the process-global metrics
-               counter: stats stay deterministic and daemon-local. *)
+            (* Daemon-local counts, not the process-global metrics
+               counters: stats stay deterministic and daemon-local. *)
+            ("profiles", Obs.Json.Int (Store.evictions t.store));
+            ("maps", Obs.Json.Int (Placement.Lru.evictions t.map_cache));
             ( "memo",
               Obs.Json.Int
                 (List.fold_left
-                   (fun acc e ->
-                     acc + e.Experiments.Context.memo_evicted)
+                   (fun acc e -> acc + Experiments.Context.evictions e)
                    0
                    (Experiments.Context.entries t.context)) );
           ] );
@@ -625,10 +599,6 @@ let handle_stats t ~id =
               | None -> Obs.Json.Null );
             ( "memo_cap",
               match t.config.memo_cap with
-              | Some c -> Obs.Json.Int c
-              | None -> Obs.Json.Null );
-            ( "strategy_cap",
-              match t.config.strategy_cap with
               | Some c -> Obs.Json.Int c
               | None -> Obs.Json.Null );
             ("map_cap", Obs.Json.Int t.config.map_cap);
@@ -719,12 +689,12 @@ let take_notifications t ~trace : Obs.Json.t list =
         List.iter (fun k -> Hashtbl.remove t.notified k) drop;
         let stale =
           Mutex.protect t.lock (fun () ->
-              List.filter_map
-                (fun ((p, rev, kind, strat), _) ->
+              Placement.Lru.fold
+                (fun (p, rev, kind, strat) _ acc ->
                   if p = pname && rev < o.Store.revision then
-                    Some (strat, kind, rev)
-                  else None)
-                t.map_cache)
+                    (strat, kind, rev) :: acc
+                  else acc)
+                t.map_cache [])
           |> List.sort_uniq compare
           (* One staleness fact per (strategy, kind): several cached
              revisions of the same map collapse to the newest. *)

@@ -23,7 +23,6 @@ type config = {
   profile_cap : int option;  (** LRU bound on named profiles *)
   epoch_window : int;  (** live epochs per profile *)
   memo_cap : int option;  (** per-bench simulation-memo LRU bound *)
-  strategy_cap : int option;  (** per-bench strategy-map LRU bound *)
   map_cap : int;  (** custom-profile address-map LRU bound *)
   scale : int;  (** workload scale of the resident contexts *)
   benches : string list option;  (** [None] = the full suite *)
@@ -46,6 +45,11 @@ val create : ?config:config -> unit -> t
 
 val context : t -> Experiments.Context.t
 val store : t -> Store.t
+
+val map_evictions : t -> int
+(** Custom-profile address maps this daemon dropped by its [map_cap];
+    deterministic even with the metrics registry off.  The process-wide
+    [serve.map_evictions] counter sums it over every daemon. *)
 
 val handle_line : t -> string -> Obs.Json.t * bool
 (** The serial total function: one request line in, one response out,
@@ -81,9 +85,6 @@ val requests_total : Obs.Metrics.counter
 val errors_total : Obs.Metrics.counter
 val timeouts_total : Obs.Metrics.counter
 val degraded_total : Obs.Metrics.counter
-
-val map_evictions : Obs.Metrics.counter
-(** Custom-profile address maps dropped by the LRU cap. *)
 
 val notifications_total : Obs.Metrics.counter
 (** Push staleness notifications emitted to subscribers. *)

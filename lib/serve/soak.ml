@@ -314,8 +314,8 @@ let run ?(config = default_config ()) () : report =
     max_live_bytes = !max_live;
     max_rss_bytes = !max_rss;
     ceiling_bytes = config.ceiling_bytes;
-    evictions_profiles = Store.evictions_total (Daemon.store daemon);
-    evictions_maps = Obs.Metrics.value Daemon.map_evictions;
+    evictions_profiles = Store.evictions (Daemon.store daemon);
+    evictions_maps = Daemon.map_evictions daemon;
     violations = !violations;
   }
 

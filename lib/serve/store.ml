@@ -3,7 +3,7 @@
    and a materialize-then-validate step whose failure marks the profile
    poisoned and pins readers to the last flow-conserving snapshot. *)
 
-let evictions =
+let eviction_counter =
   Obs.Metrics.counter "serve.profile_evictions"
     ~help:"Named profiles dropped from the store by the LRU cap"
 
@@ -43,18 +43,12 @@ type profile = {
   mutable fresh_violations : int;
   mutable last_good : (int * int * Vm.Profile.t) option;
       (** epoch, revision, snapshot *)
-  mutable last_used : int;
 }
 
 type t = {
   lock : Mutex.t;
-  cap : int option;
   window : int;
-  profiles : (string, profile) Hashtbl.t;
-  mutable tick : int;
-  mutable evicted : int;
-      (* store-local eviction count: deterministic even when the global
-         metrics registry is disabled (the replay path) *)
+  profiles : (string, profile) Placement.Lru.t;
 }
 
 let create ?cap ?(window = 4) () =
@@ -62,18 +56,7 @@ let create ?cap ?(window = 4) () =
   | Some c when c < 1 -> invalid_arg "Store.create: cap must be >= 1"
   | _ -> ());
   if window < 1 then invalid_arg "Store.create: window must be >= 1";
-  {
-    lock = Mutex.create ();
-    cap;
-    window;
-    profiles = Hashtbl.create 16;
-    tick = 0;
-    evicted = 0;
-  }
-
-let tick t =
-  t.tick <- t.tick + 1;
-  t.tick
+  { lock = Mutex.create (); window; profiles = Placement.Lru.create ?cap () }
 
 (* ---- structural validation against the bench's program ---- *)
 
@@ -183,33 +166,13 @@ type outcome = {
 
 let min_live_epoch p = max 0 (p.current - p.window + 1)
 
-let evict_unlocked t =
-  match t.cap with
-  | Some cap when Hashtbl.length t.profiles >= cap ->
-      let stalest =
-        Hashtbl.fold
-          (fun name p acc ->
-            match acc with
-            | Some (_, best) when best <= p.last_used -> acc
-            | _ -> Some (name, p.last_used))
-          t.profiles None
-      in
-      (match stalest with
-      | Some (name, _) ->
-          Hashtbl.remove t.profiles name;
-          t.evicted <- t.evicted + 1;
-          Obs.Metrics.incr evictions
-      | None -> ())
-  | _ -> ()
-
 let upload t ~(prog : Ir.Prog.program) (u : Protocol.upload) :
     (outcome, Protocol.error_info) result =
   Mutex.protect t.lock @@ fun () ->
   let p =
-    match Hashtbl.find_opt t.profiles u.Protocol.profile with
-    | Some p -> Ok p
+    match Placement.Lru.peek t.profiles u.Protocol.profile with
+    | Some p -> p
     | None ->
-        evict_unlocked t;
         let p =
           {
             name = u.profile;
@@ -224,94 +187,94 @@ let upload t ~(prog : Ir.Prog.program) (u : Protocol.upload) :
             fresh = None;
             fresh_violations = 0;
             last_good = None;
-            last_used = tick t;
           }
         in
-        Hashtbl.replace t.profiles u.profile p;
-        Ok p
+        Placement.Lru.add t.profiles u.profile p;
+        let evicted = Placement.Lru.trim t.profiles in
+        Obs.Metrics.incr ~by:evicted eviction_counter;
+        p
   in
-  match p with
-  | Error e -> Error e
-  | Ok p when p.bench <> u.bench ->
-      Error
-        (Protocol.usage_error
-           (Printf.sprintf "profile %S is bound to benchmark %S, not %S"
-              p.name p.bench u.bench))
-  | Ok p -> (
-      p.last_used <- tick t;
-      let epoch = Option.value ~default:p.current u.epoch in
-      if epoch < 0 then Error (Protocol.usage_error "epoch must be >= 0")
-      else if epoch < min_live_epoch p then
-        Ok
-          {
-            accepted = false;
-            reason = Some "stale-epoch";
-            epoch;
-            min_live = min_live_epoch p;
-            epochs_live = List.length p.epochs;
-            poisoned = p.poisoned;
-            flow_violations = p.fresh_violations;
-            revision = p.revision;
-          }
-      else
-        match validate_upload p.prog u with
-        | Some msg -> Error (Protocol.usage_error msg)
-        | None ->
-            if epoch > p.current then begin
-              p.current <- epoch;
-              let live = min_live_epoch p in
-              p.epochs <- List.filter (fun (e, _) -> e >= live) p.epochs
-            end;
-            let acc =
-              match List.assoc_opt epoch p.epochs with
-              | Some a -> a
-              | None ->
-                  let a = acc_create () in
-                  p.epochs <-
-                    List.sort (fun (a, _) (b, _) -> compare b a)
-                      ((epoch, a) :: p.epochs);
-                  a
-            in
-            let w = u.weight in
-            List.iter
-              (fun (fid, lbl, c) -> acc_add acc.blocks (fid, lbl) (w *. c))
-              u.blocks;
-            List.iter
-              (fun (fid, src, dst, c) ->
-                acc_add acc.arcs (fid, src, dst) (w *. c))
-              u.arcs;
-            List.iter
-              (fun (fid, c) -> acc_add acc.entries fid (w *. c))
-              u.entries;
-            List.iter
-              (fun (fid, blk, callee, c) ->
-                acc_add acc.calls (fid, blk, callee) (w *. c))
-              u.calls;
-            p.uploads <- p.uploads + 1;
-            p.revision <- p.revision + 1;
-            let vmprof = materialize p.prog p.epochs in
-            let violations = Placement.Validate.flow vmprof in
-            (match violations with
-            | [] ->
-                p.fresh <- Some vmprof;
-                p.poisoned <- false;
-                p.fresh_violations <- 0;
-                p.last_good <- Some (epoch, p.revision, vmprof)
-            | _ :: _ ->
-                p.fresh <- None;
-                p.poisoned <- true;
-                p.fresh_violations <- List.length violations);
-            Ok
-              {
-                accepted = true;
-                reason = None;
-                epoch;
-                min_live = min_live_epoch p;
-                epochs_live = List.length p.epochs;
-                poisoned = p.poisoned;
-                flow_violations = p.fresh_violations;
-                revision = p.revision;
-              })
+  if p.bench <> u.bench then
+    Error
+      (Protocol.usage_error
+         (Printf.sprintf "profile %S is bound to benchmark %S, not %S" p.name
+            p.bench u.bench))
+  else (
+    (* Only an upload to the right benchmark counts as a use. *)
+    Placement.Lru.add t.profiles p.name p;
+    let epoch = Option.value ~default:p.current u.epoch in
+    if epoch < 0 then Error (Protocol.usage_error "epoch must be >= 0")
+    else if epoch < min_live_epoch p then
+      Ok
+        {
+          accepted = false;
+          reason = Some "stale-epoch";
+          epoch;
+          min_live = min_live_epoch p;
+          epochs_live = List.length p.epochs;
+          poisoned = p.poisoned;
+          flow_violations = p.fresh_violations;
+          revision = p.revision;
+        }
+    else
+      match validate_upload p.prog u with
+      | Some msg -> Error (Protocol.usage_error msg)
+      | None ->
+          if epoch > p.current then begin
+            p.current <- epoch;
+            let live = min_live_epoch p in
+            p.epochs <- List.filter (fun (e, _) -> e >= live) p.epochs
+          end;
+          let acc =
+            match List.assoc_opt epoch p.epochs with
+            | Some a -> a
+            | None ->
+                let a = acc_create () in
+                p.epochs <-
+                  List.sort (fun (a, _) (b, _) -> compare b a)
+                    ((epoch, a) :: p.epochs);
+                a
+          in
+          let w = u.weight in
+          List.iter
+            (fun (fid, lbl, c) -> acc_add acc.blocks (fid, lbl) (w *. c))
+            u.blocks;
+          List.iter
+            (fun (fid, src, dst, c) ->
+              acc_add acc.arcs (fid, src, dst) (w *. c))
+            u.arcs;
+          List.iter
+            (fun (fid, c) -> acc_add acc.entries fid (w *. c))
+            u.entries;
+          List.iter
+            (fun (fid, blk, callee, c) ->
+              acc_add acc.calls (fid, blk, callee) (w *. c))
+            u.calls;
+          p.uploads <- p.uploads + 1;
+          p.revision <- p.revision + 1;
+          let vmprof = materialize p.prog p.epochs in
+          let violations = Placement.Validate.flow vmprof in
+          (match violations with
+          | [] ->
+              p.fresh <- Some vmprof;
+              p.poisoned <- false;
+              p.fresh_violations <- 0;
+              p.last_good <- Some (epoch, p.revision, vmprof)
+          | _ :: _ ->
+              p.fresh <- None;
+              p.poisoned <- true;
+              p.fresh_violations <- List.length violations);
+          Ok
+            {
+              accepted = true;
+              reason = None;
+              epoch;
+              min_live = min_live_epoch p;
+              epochs_live = List.length p.epochs;
+              poisoned = p.poisoned;
+              flow_violations = p.fresh_violations;
+              revision = p.revision;
+            })
 
 (* ---- read side ---- *)
 
@@ -323,10 +286,9 @@ type view =
 
 let view t name =
   Mutex.protect t.lock @@ fun () ->
-  match Hashtbl.find_opt t.profiles name with
+  match Placement.Lru.find t.profiles name with
   | None -> Unknown
   | Some p -> (
-      p.last_used <- tick t;
       match p.fresh with
       | Some vmprof when not p.poisoned ->
           Fresh { profile = vmprof; revision = p.revision; epoch = p.current }
@@ -338,22 +300,23 @@ let view t name =
 
 let bench_of t name =
   Mutex.protect t.lock @@ fun () ->
-  Option.map (fun p -> p.bench) (Hashtbl.find_opt t.profiles name)
+  Option.map (fun p -> p.bench) (Placement.Lru.peek t.profiles name)
 
-let size t = Mutex.protect t.lock @@ fun () -> Hashtbl.length t.profiles
+let size t = Mutex.protect t.lock @@ fun () -> Placement.Lru.length t.profiles
 
-let evictions_total t = Mutex.protect t.lock @@ fun () -> t.evicted
+let evictions t =
+  Mutex.protect t.lock @@ fun () -> Placement.Lru.evictions t.profiles
 
 let poisoned_count t =
   Mutex.protect t.lock @@ fun () ->
-  Hashtbl.fold
+  Placement.Lru.fold
     (fun _ (p : profile) n -> if p.poisoned then n + 1 else n)
     t.profiles 0
 
 let stats_json t =
   Mutex.protect t.lock @@ fun () ->
   let rows =
-    Hashtbl.fold (fun _ p acc -> p :: acc) t.profiles []
+    Placement.Lru.fold (fun _ p acc -> p :: acc) t.profiles []
     |> List.sort (fun a b -> compare a.name b.name)
     |> List.map (fun p ->
            Obs.Json.Obj

@@ -55,15 +55,14 @@ val view : t -> string -> view
 val bench_of : t -> string -> string option
 val size : t -> int
 
-val evictions_total : t -> int
+val evictions : t -> int
 (** Profiles this store evicted via its LRU cap — a store-local count,
-    deterministic even when the metrics registry is disabled. *)
+    deterministic even when the metrics registry is disabled.  The
+    process-wide [serve.profile_evictions] counter sums it over every
+    store. *)
 
 val poisoned_count : t -> int
 (** Profiles currently poisoned (readers pinned to last-good). *)
 
 val stats_json : t -> Obs.Json.t
 (** Per-profile summary rows, sorted by name. *)
-
-val evictions : Obs.Metrics.counter
-(** Named profiles dropped from the store by the LRU cap. *)

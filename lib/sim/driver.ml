@@ -358,9 +358,6 @@ let simulate_source ?timing_model configs map (source : source) =
 let simulate_many ?timing_model configs map trace =
   simulate_source ?timing_model configs map (Trace.source trace)
 
-let simulate_all ?timing_model configs map trace =
-  simulate_many ?timing_model configs map trace
-
 (* Fused VM->cache engine: one interpreter execution pushes its block
    stream straight into every configuration's cache state, with no
    stored trace of any kind.  Always serial — the whole point is the

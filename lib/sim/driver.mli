@@ -5,7 +5,8 @@
 type source = (int -> Ir.Cfg.label -> unit) -> unit
 (** A re-walkable stream of executed blocks: calling a source with a
     block consumer plays every [(fid, label)] in execution order.  Any
-    stored trace is a source ({!Trace.source}); so is the VM itself. *)
+    stored trace is a source ({!Trace.source}); so is the VM itself
+    ({!simulate_stream}). *)
 
 type result = {
   config : Icache.Config.t;
@@ -30,33 +31,6 @@ val simulate :
 (** Word-granular reference engine: one {!Icache.Cache.access} per
     instruction fetch.  Kept as the oracle for differential tests. *)
 
-val simulate_source :
-  ?timing_model:Icache.Timing.model ->
-  Icache.Config.t list ->
-  Placement.Address_map.t ->
-  source ->
-  result list
-(** Block-granular fast path: walks the source once and advances every
-    configuration's cache, timers and run bookkeeping in the same pass,
-    using {!Icache.Cache.access_run} (one tag probe per cache block
-    touched).  Bit-identical to running {!simulate} per configuration.
-
-    When a default {!Placement.Pool} with more than one lane is set, the
-    configuration list is partitioned into contiguous chunks (one per
-    lane) simulated on separate domains; results are concatenated back
-    in input order, so the output is bit-identical to the serial sweep.
-    Each chunk re-walks the source, which must therefore be re-walkable
-    and domain-safe. *)
-
-val simulate_source_serial :
-  ?timing_model:Icache.Timing.model ->
-  Icache.Config.t list ->
-  Placement.Address_map.t ->
-  source ->
-  result list
-(** The single-domain sweep {!simulate_source} partitions over; walks
-    the source exactly once and ignores the default pool. *)
-
 val simulate_stream :
   ?timing_model:Icache.Timing.model ->
   ?fuel:int ->
@@ -76,7 +50,16 @@ val simulate_many :
   Placement.Address_map.t ->
   Trace.t ->
   result list
-(** {!simulate_source} over a stored trace. *)
+(** Block-granular fast path: walks the trace once and advances every
+    configuration's cache, timers and run bookkeeping in the same pass,
+    using {!Icache.Cache.access_run} (one tag probe per cache block
+    touched).  Bit-identical to running {!simulate} per configuration.
+
+    When a default {!Placement.Pool} with more than one lane is set, the
+    configuration list is partitioned into contiguous chunks (one per
+    lane) simulated on separate domains; results are concatenated back
+    in input order, so the output is bit-identical to the serial sweep.
+    Each chunk re-walks the trace. *)
 
 val simulate_many_serial :
   ?timing_model:Icache.Timing.model ->
@@ -84,12 +67,5 @@ val simulate_many_serial :
   Placement.Address_map.t ->
   Trace.t ->
   result list
-(** {!simulate_source_serial} over a stored trace. *)
-
-val simulate_all :
-  ?timing_model:Icache.Timing.model ->
-  Icache.Config.t list ->
-  Placement.Address_map.t ->
-  Trace.t ->
-  result list
-(** Alias for {!simulate_many}. *)
+(** The single-domain sweep {!simulate_many} partitions over; walks the
+    trace exactly once and ignores the default pool. *)

@@ -31,8 +31,7 @@ val dyn_insns : Placement.Address_map.t -> t -> int
 val iter_blocks : (int -> Cfg.label -> unit) -> t -> unit
 
 val source : t -> (int -> Cfg.label -> unit) -> unit
-(** The trace as a re-walkable block source — the shape
-    {!Driver.simulate_source} consumes. *)
+(** The trace as a re-walkable block source ({!Driver.source}). *)
 
 type stats = {
   st_runs : int;  (** maximal sequential-code runs *)

@@ -1,7 +1,7 @@
 (* Static-analysis layer: dominators/post-dominators on hand-built CFGs
-   (including an irreducible one), natural-loop nesting, register
-   liveness, the reachability unification, a dominator/reachability
-   consistency property over generated programs, and the layout linter
+   (including an irreducible one), natural-loop nesting, the
+   reachability unification, a dominator/reachability consistency
+   property over generated programs, and the layout linter
    (hand-built error input, golden output on the cmp benchmark, static
    ranking, and the no-simulation guarantee). *)
 
@@ -180,59 +180,6 @@ let irreducible_detected () =
   Alcotest.(check (list (pair int int)))
     "diamond reducible" []
     (Analysis.Loops.of_func diamond).Analysis.Loops.irreducible_edges
-
-(* --- liveness -------------------------------------------------------- *)
-
-let elems s = Analysis.Bitset.elements s
-
-let liveness_diamond () =
-  let t = Analysis.Live.of_func diamond in
-  (* r0 (the parameter bound) and r3 (the accumulator, read before any
-     write on the loop path) are live into the entry; r1 is defined
-     there first. *)
-  Alcotest.(check (list int))
-    "live into entry" [ 0; 3 ]
-    (elems t.Analysis.Live.live_in.(0));
-  Alcotest.(check (list int))
-    "live out of loop head" [ 0; 1; 3 ]
-    (elems t.Analysis.Live.live_out.(1));
-  Alcotest.(check (list int))
-    "only the result lives into the exit" [ 3 ]
-    (elems t.Analysis.Live.live_in.(6));
-  Alcotest.(check (list int))
-    "exit is the boundary" []
-    (elems t.Analysis.Live.live_out.(6));
-  (* Block-local use/def of the diamond head: reads r3 and r1, defines
-     the comparison result r2 (read only by its own terminator, after
-     the def). *)
-  Alcotest.(check (list int))
-    "use of diamond head" [ 1; 3 ]
-    (elems t.Analysis.Live.use.(2));
-  Alcotest.(check (list int))
-    "def of diamond head" [ 2 ]
-    (elems t.Analysis.Live.def.(2))
-
-let dead_stores () =
-  let f : Prog.func =
-    {
-      Prog.name = "deadstore";
-      nparams = 0;
-      nregs = 1;
-      blocks =
-        [|
-          b
-            [ Insn.Mov (0, Imm 1); Insn.Mov (0, Imm 2) ]
-            (Ret (Some (Insn.Reg 0)));
-        |];
-    }
-  in
-  let t = Analysis.Live.of_func f in
-  Alcotest.(check (list (pair int int)))
-    "the overwritten store is dead" [ (0, 0) ]
-    (Analysis.Live.dead_stores f t);
-  Alcotest.(check (list (pair int int)))
-    "no dead stores in the diamond" []
-    (Analysis.Live.dead_stores diamond (Analysis.Live.of_func diamond))
 
 (* --- reachability unification ---------------------------------------- *)
 
@@ -451,8 +398,6 @@ let suite =
       dominators_dead_blocks;
     Alcotest.test_case "loop nesting" `Quick loop_nesting;
     Alcotest.test_case "irreducible graph" `Quick irreducible_detected;
-    Alcotest.test_case "liveness: diamond" `Quick liveness_diamond;
-    Alcotest.test_case "dead stores" `Quick dead_stores;
     Alcotest.test_case "reachability unified" `Quick reach_unified;
     QCheck_alcotest.to_alcotest prop_dom_reach;
     Alcotest.test_case "lint: dead weight is an error" `Quick

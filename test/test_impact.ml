@@ -26,5 +26,6 @@ let () =
       ("analysis", Test_analysis.suite);
       ("absint", Test_absint.suite);
       ("parallel", Test_parallel.suite);
+      ("lru", Test_lru.suite);
       ("serve", Test_serve.suite);
     ]

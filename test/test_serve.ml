@@ -406,37 +406,40 @@ let unknown_profile_errors () =
 let context_memo_cap () =
   Obs.Metrics.set_enabled true;
   Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) @@ fun () ->
-  let before = Obs.Metrics.value Experiments.Context.memo_evictions in
+  let value = Obs.Metrics.value in
+  let before = value Experiments.Context.memo_evictions in
   let ctx = Experiments.Context.create ~memo_cap:2 ~names:[ bench ] () in
   let entry = Experiments.Context.find ctx bench in
   let map = Experiments.Context.optimized_map entry in
   let trace = Experiments.Context.trace entry in
+  let sim c = Experiments.Context.simulate entry c map trace in
   let configs =
     List.map
       (fun size -> Icache.Config.make ~size ~block:64 ())
       [ 512; 1024; 2048; 4096 ]
   in
-  let results =
-    List.map (fun c -> Experiments.Context.simulate entry c map trace) configs
-  in
+  let results = List.map sim configs in
   Alcotest.(check int) "all four configs simulated" 4 (List.length results);
-  Alcotest.(check bool) "memo stays at its cap" true
-    (Hashtbl.length entry.Experiments.Context.sim_cache <= 2);
-  Alcotest.(check bool) "evictions counted" true
-    (Obs.Metrics.value Experiments.Context.memo_evictions > before);
+  (* Four distinct points through a cap of 2: exactly two evicted, so
+     exactly two resident. *)
+  Alcotest.(check int) "exact evictions" 2
+    (Experiments.Context.evictions entry);
+  Alcotest.(check int) "global counter agrees" 2
+    (value Experiments.Context.memo_evictions - before);
+  (* The two residents are the most recently simulated points. *)
+  let hits = value Experiments.Context.memo_hits in
+  ignore (sim (List.nth configs 2));
+  ignore (sim (List.nth configs 3));
+  Alcotest.(check int) "newest two resident" 2
+    (value Experiments.Context.memo_hits - hits);
+  Alcotest.(check int) "hits evict nothing" 2
+    (Experiments.Context.evictions entry);
   (* Evicted points are recomputed with identical results. *)
-  let again = Experiments.Context.simulate entry (List.hd configs) map trace in
+  let again = sim (List.hd configs) in
+  Alcotest.(check int) "refill evicts one" 3
+    (Experiments.Context.evictions entry);
   Alcotest.(check (float 0.0)) "recomputed result identical"
     (List.hd results).Sim.Driver.miss_ratio again.Sim.Driver.miss_ratio
-
-let strategy_map_cap () =
-  let ctx = Experiments.Context.create ~strategy_cap:2 ~names:[ bench ] () in
-  let entry = Experiments.Context.find ctx bench in
-  List.iter
-    (fun s -> ignore (Experiments.Context.strategy_map entry s))
-    Placement.Strategy.all;
-  Alcotest.(check bool) "strategy maps bounded" true
-    (List.length entry.Experiments.Context.strategy_maps <= 2)
 
 (* ------------------------------------------------------------------ *)
 (* Golden vectors and batching determinism                             *)
@@ -586,6 +589,43 @@ let stats_v2_fields () =
             (int_field "count" row)
       | None -> Alcotest.fail "latency lacks the all row")
   | None -> Alcotest.fail "stats lacks latency"
+
+(* Two custom profiles alternating through a one-entry map cache: every
+   request after the first evicts the other profile's map, and the
+   rebuilt maps answer exactly as an uncapped daemon does. *)
+let map_cap_alternation () =
+  let lines =
+    [
+      upload_line ~id:1 ~name:"p1" ~epoch:0;
+      upload_line ~id:2 ~name:"p2" ~epoch:0;
+    ]
+    @ List.mapi
+        (fun i (profile, strategy) ->
+          layout_line ~id:(3 + i)
+            [
+              ("profile", Obs.Json.String profile);
+              ("strategy", Obs.Json.String strategy);
+            ])
+        [ ("p1", "impact"); ("p2", "ph"); ("p1", "impact"); ("p2", "ph") ]
+    @ [ request ~id:7 ~typ:"stats" [] ]
+  in
+  let capped = run_stream ~config:{ small_config with map_cap = 1 } lines in
+  let uncapped = run_stream lines in
+  let maps_evicted out =
+    match Obs.Json.member "evictions" (List.nth out 6) with
+    | Some ev -> int_field "maps" ev
+    | None -> Alcotest.fail "stats lacks evictions"
+  in
+  Alcotest.(check int) "capped: every switch evicts" 3 (maps_evicted capped);
+  Alcotest.(check int) "uncapped: nothing evicted" 0 (maps_evicted uncapped);
+  List.iteri
+    (fun i (c, u) ->
+      if i >= 2 && i < 6 then begin
+        Alcotest.(check string) "layout served" "ok" (status_of c);
+        Alcotest.(check string) "same answer as uncapped" (line_of u)
+          (line_of c)
+      end)
+    (List.combine capped uncapped)
 
 let health_verdicts () =
   Obs.Log.set_quiet true;
@@ -785,10 +825,10 @@ let suite =
     Alcotest.test_case "poisoned profile tier" `Quick poisoned_profile_tier;
     Alcotest.test_case "unknown profile errors" `Quick unknown_profile_errors;
     Alcotest.test_case "context memo cap" `Quick context_memo_cap;
-    Alcotest.test_case "strategy map cap" `Quick strategy_map_cap;
     Alcotest.test_case "golden vector replay" `Quick golden_replay;
     Alcotest.test_case "batching deterministic" `Quick batching_deterministic;
     Alcotest.test_case "stats v2 fields" `Quick stats_v2_fields;
+    Alcotest.test_case "map cap alternation" `Quick map_cap_alternation;
     Alcotest.test_case "health verdicts" `Quick health_verdicts;
     Alcotest.test_case "subscribe notifies exactly once" `Quick
       subscribe_exactly_once;

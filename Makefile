@@ -100,22 +100,22 @@ par-smoke:
 	  > _par/fuzz-j2.txt
 	cmp _par/fuzz-j1.txt _par/fuzz-j2.txt
 
-# Streaming/compressed trace store end to end: the same table must be
-# byte-identical between the streaming (default) and buffered engines,
-# and — under streaming — between -j 1 and -j 2; the committed scaled
-# bench report must parse.
+# Compressed trace store end to end: a scaled table must be
+# byte-identical between -j 1 and -j 2, and so must the store's own
+# accounting (the trace.* gauges: runs, raw, stored and peak bytes),
+# which must not depend on the lane count; the committed scaled bench
+# report must parse.
 stream-smoke:
 	rm -rf _stream && mkdir -p _stream
-	dune exec bin/main.exe -- table 6 -b cmp,wc --engine streaming \
-	  > _stream/t6-streaming.txt
-	dune exec bin/main.exe -- table 6 -b cmp,wc --engine buffered \
-	  > _stream/t6-buffered.txt
-	cmp _stream/t6-streaming.txt _stream/t6-buffered.txt
 	dune exec bin/main.exe -- table 6 -b cmp,wc --scale 2 -j 1 \
-	  > _stream/t6-scale-j1.txt
+	  --metrics-out=_stream/metrics-j1.txt > _stream/t6-scale-j1.txt
 	dune exec bin/main.exe -- table 6 -b cmp,wc --scale 2 -j 2 \
-	  > _stream/t6-scale-j2.txt
+	  --metrics-out=_stream/metrics-j2.txt > _stream/t6-scale-j2.txt
 	cmp _stream/t6-scale-j1.txt _stream/t6-scale-j2.txt
+	grep -E '^gauge +trace\.' _stream/metrics-j1.txt > _stream/trace-j1.txt
+	grep -E '^gauge +trace\.' _stream/metrics-j2.txt > _stream/trace-j2.txt
+	test -s _stream/trace-j1.txt
+	cmp _stream/trace-j1.txt _stream/trace-j2.txt
 	dune exec bin/checkjson.exe -- BENCH_pr7.json
 
 # Layout service end to end: the committed golden request stream must

@@ -23,7 +23,6 @@ let only_ids : string list option ref = ref None
 let bench_names : string list option ref = ref None
 let jobs = ref (Domain.recommended_domain_count ())
 let compare_serial = ref false
-let trace_engine = ref Sim.Trace.Streaming
 let scale = ref 1
 
 (* Machine-readable report destination; empty string disables it. *)
@@ -59,15 +58,6 @@ let parse_cli () =
         Arg.Set_string out_file,
         "FILE  Write the machine-readable bench report to FILE (default \
          BENCH_pr7.json; empty disables)" );
-      ( "--engine",
-        Arg.String
-          (fun s ->
-            match Sim.Trace.engine_of_string s with
-            | Some e -> trace_engine := e
-            | None ->
-              raise (Arg.Bad "--engine must be 'streaming' or 'buffered'")),
-        "E  Trace store: streaming (born-compressed, default) or buffered \
-         (raw 8-byte-per-block reference)" );
       ( "--scale",
         Arg.Int
           (fun n ->
@@ -98,7 +88,7 @@ let parse_cli () =
   Arg.parse spec
     (fun anon -> raise (Arg.Bad ("unexpected argument " ^ anon)))
     "bench/main.exe [--only t6,t8] [--benchmarks wc,grep] [--out FILE] \
-     [--engine streaming|buffered] [--scale N] [-j N] [--compare-serial]"
+     [--scale N] [-j N] [--compare-serial]"
 
 (* ------------------------------------------------------------------ *)
 (* Part 1: table regeneration                                          *)
@@ -109,16 +99,13 @@ let regenerate_tables specs names =
     (match !only_ids with
     | None -> "all experiments"
     | Some ids -> "experiments " ^ String.concat "," ids);
-  say "(building pipelines for %s; engine %s, scale %d)"
+  say "(building pipelines for %s; scale %d)"
     (match names with
     | None -> "the ten benchmarks"
     | Some ns -> String.concat ", " ns)
-    (Sim.Trace.engine_name !trace_engine)
     !scale;
   let t0 = Unix.gettimeofday () in
-  let ctx =
-    Experiments.Context.create ~engine:!trace_engine ~scale:!scale ?names ()
-  in
+  let ctx = Experiments.Context.create ~scale:!scale ?names () in
   (* Force each benchmark's pipeline + trace up front so the per-table
      times below measure table computation, not lazy pipeline builds —
      and so the report can carry a per-benchmark build cost. *)
@@ -155,9 +142,7 @@ let serial_reference specs names =
   say "";
   say "=== --compare-serial: serial reference pass (no pool) ===";
   let t0 = Unix.gettimeofday () in
-  let ctx =
-    Experiments.Context.create ~engine:!trace_engine ~scale:!scale ?names ()
-  in
+  let ctx = Experiments.Context.create ~scale:!scale ?names () in
   let outcomes =
     List.map (fun spec -> Experiments.Runner.run_spec ctx spec) specs
   in
@@ -371,13 +356,11 @@ let write_report path ~names ~bench_seconds ~outcomes ~total_seconds
                 if lookups = 0 then Obs.Json.Null
                 else num (float_of_int hits /. float_of_int lookups) );
             ] );
-        (* Additive since the streaming/compressed trace store: the
-           recording engine, the workload scale factor, and the summed
-           trace-store gauges.  [trace.ratio] is the live compression
-           ratio; under the streaming engine peak residency IS the
-           stored size, so raw/peak is the peak-memory reduction over
-           the buffered engine. *)
-        ("trace_engine", Obs.Json.String (Sim.Trace.engine_name !trace_engine));
+        (* Additive since the compressed trace store: the workload
+           scale factor and the summed trace-store gauges.
+           [trace.ratio] is the live compression ratio; peak residency
+           IS the stored size, so raw/peak is the peak-memory reduction
+           over an 8-byte-per-block buffer. *)
         ("scale", Obs.Json.Int !scale);
         ( "trace",
           Obs.Json.Obj
@@ -414,9 +397,8 @@ let trace_store_summary () =
   if stored > 0 then begin
     say "";
     say
-      "=== trace store (%s engine, scale %d): %d runs, raw %.0f KB -> \
-       stored %.0f KB (%.1fx), peak resident %.0f KB ==="
-      (Sim.Trace.engine_name !trace_engine)
+      "=== trace store (scale %d): %d runs, raw %.0f KB -> stored %.0f KB \
+       (%.1fx), peak resident %.0f KB ==="
       !scale runs (kb raw) (kb stored)
       (float_of_int raw /. Float.max (float_of_int stored) 1.)
       (kb peak)

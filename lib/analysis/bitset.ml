@@ -33,20 +33,6 @@ let remove t i =
   t.words.(i / bits_per_word) <-
     t.words.(i / bits_per_word) land lnot (1 lsl (i mod bits_per_word))
 
-(* Mask of valid bits in the last word, so [fill] never sets bits past
-   the universe. *)
-let last_mask t =
-  let rem = t.n mod bits_per_word in
-  if rem = 0 && t.n > 0 then (1 lsl bits_per_word) - 1
-  else (1 lsl rem) - 1
-
-let fill t =
-  let last = Array.length t.words - 1 in
-  for k = 0 to last do
-    t.words.(k) <- (1 lsl bits_per_word) - 1
-  done;
-  if t.n = 0 then t.words.(0) <- 0 else t.words.(last) <- last_mask t
-
 let copy t = { t with words = Array.copy t.words }
 
 let same_universe a b op =
@@ -75,18 +61,6 @@ let union_into ~dst src =
   let changed = ref false in
   for k = 0 to Array.length dst.words - 1 do
     let w = dst.words.(k) lor src.words.(k) in
-    if w <> dst.words.(k) then begin
-      dst.words.(k) <- w;
-      changed := true
-    end
-  done;
-  !changed
-
-let inter_into ~dst src =
-  same_universe dst src "inter_into";
-  let changed = ref false in
-  for k = 0 to Array.length dst.words - 1 do
-    let w = dst.words.(k) land src.words.(k) in
     if w <> dst.words.(k) then begin
       dst.words.(k) <- w;
       changed := true

@@ -11,9 +11,6 @@ val universe : t -> int
 val mem : t -> int -> bool
 val add : t -> int -> unit
 val remove : t -> int -> unit
-val fill : t -> unit
-(** Set every bit of the universe. *)
-
 val copy : t -> t
 val assign : dst:t -> t -> unit
 val equal : t -> t -> bool
@@ -22,9 +19,6 @@ val count : t -> int
 
 val union_into : dst:t -> t -> bool
 (** [dst := dst ∪ src]; returns whether [dst] changed. *)
-
-val inter_into : dst:t -> t -> bool
-(** [dst := dst ∩ src]; returns whether [dst] changed. *)
 
 val transfer : gen:t -> kill:t -> src:t -> dst:t -> bool
 (** The dataflow transfer function [dst := gen ∪ (src \ kill)]; returns

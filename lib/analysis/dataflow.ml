@@ -1,16 +1,14 @@
 (* Iterative forward bit-vector dataflow: a round-robin worklist over an
-   explicit graph, with the meet taken over graph predecessors and the
-   classic gen/kill transfer.
+   explicit graph, with the union meet taken over graph predecessors and
+   the classic gen/kill transfer.
 
-   Interior nodes start at the confluence identity (empty set for Union,
-   full set for Intersection) so the first meet is a plain copy; nodes
-   never reached by the worklist (unreachable from every boundary node)
-   keep that identity, which callers can detect — reachability itself is
-   the Union instance with an empty gen/kill and a one-bit universe. *)
+   Interior nodes start at the union identity (the empty set) so the
+   first meet is a plain copy; nodes never reached by the worklist
+   (unreachable from every boundary node) keep that identity, which
+   callers can detect — reachability itself is the instance with an
+   empty gen/kill and a one-bit universe. *)
 
 open Ir
-
-type confluence = Union | Intersection
 
 type problem = {
   nnodes : int;
@@ -19,7 +17,6 @@ type problem = {
   preds : int -> int list;
   gen : int -> Bitset.t;
   kill : int -> Bitset.t;
-  confluence : confluence;
   boundary : int list;
   boundary_value : Bitset.t;
 }
@@ -43,12 +40,7 @@ let cap_warning ~max_iters ~iterations =
 
 let solve ?max_iters (p : problem) : solution =
   let n = p.nnodes in
-  let init () =
-    Array.init n (fun _ ->
-        let s = Bitset.create p.nbits in
-        (match p.confluence with Union -> () | Intersection -> Bitset.fill s);
-        s)
-  in
+  let init () = Array.init n (fun _ -> Bitset.create p.nbits) in
   let in_ = init () and out = init () in
   let boundary = Array.make n false in
   List.iter
@@ -88,20 +80,13 @@ let solve ?max_iters (p : problem) : solution =
     let preds = p.preds v in
     if preds <> [] || boundary.(v) then begin
       let acc = Bitset.create p.nbits in
-      (match p.confluence with
-      | Union -> ()
-      | Intersection -> Bitset.fill acc);
       let first = ref true in
       let meet src =
         if !first then begin
           Bitset.assign ~dst:acc src;
           first := false
         end
-        else
-          ignore
-            (match p.confluence with
-            | Union -> Bitset.union_into ~dst:acc src
-            | Intersection -> Bitset.inter_into ~dst:acc src)
+        else ignore (Bitset.union_into ~dst:acc src)
       in
       if boundary.(v) then meet p.boundary_value;
       List.iter (fun u -> meet out.(u)) preds;

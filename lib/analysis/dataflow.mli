@@ -1,16 +1,11 @@
 (** Generic iterative forward bit-vector dataflow over an explicit flow
     graph.
 
-    A problem names its universe size, per-node gen/kill sets and
-    confluence operator; {!solve} runs a worklist to the (unique, by
-    monotonicity) fixpoint.  Reachability and the linter's
-    reaching-weights checks are instances. *)
+    A problem names its universe size and per-node gen/kill sets; the
+    meet is union (a may-analysis); {!solve} runs a worklist to the
+    (unique, by monotonicity) fixpoint.  Reachability is the instance. *)
 
 open Ir
-
-type confluence =
-  | Union  (** may-analyses: reachability *)
-  | Intersection  (** must-analyses: availability, dominance-style facts *)
 
 type problem = {
   nnodes : int;
@@ -19,7 +14,6 @@ type problem = {
   preds : int -> int list;
   gen : int -> Bitset.t;
   kill : int -> Bitset.t;
-  confluence : confluence;
   boundary : int list;  (** boundary nodes: the flow-graph entries *)
   boundary_value : Bitset.t;  (** input value at the boundary nodes *)
 }

@@ -31,7 +31,6 @@ let as_dataflow (f : Prog.func) : Dataflow.solution =
       preds = (fun l -> preds.(l));
       gen = (fun _ -> empty);
       kill = (fun _ -> empty);
-      confluence = Dataflow.Union;
       boundary = (if n = 0 then [] else [ 0 ]);
       boundary_value = one;
     }

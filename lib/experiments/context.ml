@@ -3,11 +3,10 @@
    results — all computed lazily and at most once, since every table
    draws on the same artifacts.
 
-   Traces are held as [Sim.Trace.t]: under the default [Streaming]
-   engine the VM streams blocks straight into the run-length/delta
-   compressing builder, so what the context memoizes is the compressed
-   store (typically ~10x smaller than the raw Bigarray vector the
-   [Buffered] engine keeps); replay is bit-identical either way.
+   Traces are held as [Sim.Trace.t]: the VM streams blocks straight
+   into the run-length/delta compressing builder, so what the context
+   memoizes is the compressed store (typically ~10x smaller than a raw
+   8-byte-per-block vector).
 
    Address maps are produced per layout strategy through one memoized
    table ([strategy_map]); adding a strategy to [Placement.Strategy.all]
@@ -77,9 +76,8 @@ let memo_evictions =
       "memoized simulation results dropped by the LRU cap (long-running \
        services bound their residency; CLI runs default to unbounded)"
 
-let make_entry ~engine ?memo_cap bench =
+let make_entry ?memo_cap bench =
   let bench_attr = [ ("bench", bench.Workloads.Bench.name) ] in
-  let engine_attr = ("engine", Sim.Trace.engine_name engine) in
   let pipeline =
     lazy
       (Obs.Span.with_ ~stage:"pipeline" ~attrs:bench_attr (fun () ->
@@ -100,10 +98,8 @@ let make_entry ~engine ?memo_cap bench =
   in
   let trace =
     lazy
-      (Obs.Span.with_ ~stage:"trace-record"
-         ~attrs:(engine_attr :: bench_attr)
-         (fun () ->
-           Sim.Trace.record ~engine
+      (Obs.Span.with_ ~stage:"trace-record" ~attrs:bench_attr (fun () ->
+           Sim.Trace.record
              (Lazy.force pipeline).Placement.Pipeline.program
              (Workloads.Bench.trace_input bench)))
   in
@@ -112,9 +108,9 @@ let make_entry ~engine ?memo_cap bench =
        the cleanup pass), so it matches original_map's labels. *)
     lazy
       (Obs.Span.with_ ~stage:"trace-record"
-         ~attrs:(engine_attr :: ("program", "original") :: bench_attr)
+         ~attrs:(("program", "original") :: bench_attr)
          (fun () ->
-           Sim.Trace.record ~engine
+           Sim.Trace.record
              (Lazy.force pipeline).Placement.Pipeline.original
              (Workloads.Bench.trace_input bench)))
   in
@@ -141,7 +137,7 @@ let make_entry ~engine ?memo_cap bench =
     sim_cache = Placement.Lru.create ?cap:memo_cap ();
   }
 
-let create ?(engine = Sim.Trace.Streaming) ?(scale = 1) ?memo_cap ?names () =
+let create ?(scale = 1) ?memo_cap ?names () =
   (match memo_cap with
   | Some c when c < 1 -> invalid_arg "Context.create: memo_cap must be >= 1"
   | _ -> ());
@@ -150,7 +146,7 @@ let create ?(engine = Sim.Trace.Streaming) ?(scale = 1) ?memo_cap ?names () =
     | None -> Workloads.Registry.suite ~scale
     | Some names -> List.map (Workloads.Registry.find ~scale) names
   in
-  List.map (make_entry ~engine ?memo_cap) benches
+  List.map (make_entry ?memo_cap) benches
 
 let entries t = t
 

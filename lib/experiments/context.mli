@@ -11,16 +11,14 @@ type entry
 type t = entry list
 
 val create :
-  ?engine:Sim.Trace.engine ->
   ?scale:int ->
   ?memo_cap:int ->
   ?names:string list ->
   unit ->
   t
 (** Default: the full ten-benchmark suite at scale 1, recording traces
-    with the [Streaming] engine (born-compressed store; [Buffered] is
-    the raw reference representation — results are bit-identical either
-    way).  [scale] > 1 substitutes the scaled-up workload variants of
+    straight into the compressed store ({!Sim.Trace.record}).  [scale]
+    > 1 substitutes the scaled-up workload variants of
     {!Workloads.Registry.suite}.
 
     [memo_cap] (default unbounded, right for one-shot CLI runs) bounds

@@ -15,9 +15,11 @@
      same under every strategy's map (layout invariance);
    - a cache simulation over each map accesses exactly that many
      instructions;
-   - the three simulation engines agree bit-for-bit: the word-granular
-     buffered reference, the run-length-compressed replay (per map) and
-     the fused VM->cache stream (once per seed, natural map);
+   - the compressed trace decodes to exactly the buffered recording's
+     block sequence (the codec check);
+   - the three simulation engines agree bit-for-bit on that compressed
+     trace: the word-granular reference, the block-granular sweep (per
+     map) and the fused VM->cache stream (once per seed, natural map);
 
    - the abstract-interpretation cache bounds ([Analysis.Absint]) are
      sound against the simulated truth on small conflict-heavy
@@ -58,6 +60,36 @@ let shrink_steps_taken =
 (* Geometry is irrelevant to the access-count cross-check; a small cache
    keeps a 200-case smoke run fast. *)
 let sim_config = Icache.Config.make ~size:512 ~block:16 ()
+
+(* Codec check: decoding the compressed trace must give exactly the
+   buffered recording's (fid, label) sequence, element by element. *)
+let codec_diags (tg : Sim.Trace_gen.t) (trace : Sim.Trace.t) =
+  let blocks = tg.Sim.Trace_gen.blocks in
+  let n = Sim.Ivec.length blocks in
+  let i = ref 0 and first_diff = ref None in
+  Sim.Trace.iter_blocks
+    (fun fid label ->
+      (if !first_diff = None then
+         if !i >= n then first_diff := Some !i
+         else
+           let code = Sim.Ivec.get blocks !i in
+           if
+             Sim.Trace_gen.unpack_fid code <> fid
+             || Sim.Trace_gen.unpack_label code <> label
+           then first_diff := Some !i);
+      incr i)
+    trace;
+  (* A decode that stops short differs where it stops. *)
+  if !first_diff = None && !i < n then first_diff := Some !i;
+  match !first_diff with
+  | None -> []
+  | Some at ->
+    [
+      Ir.Diag.make ~stage:Ir.Diag.Simulation
+        "compressed trace decodes to a different block sequence than the \
+         buffered recording (first difference at block %d)"
+        at;
+    ]
 
 let catching stage f =
   try Ok (f ()) with
@@ -179,17 +211,18 @@ let check_program ?(strategies = Placement.Strategy.all)
               with
               | Error ds -> ds
               | Ok tg -> (
-                let raw = Sim.Trace.of_gen tg in
-                let compressed =
-                  Sim.Trace.of_ctrace (Sim.Ctrace.of_trace_gen tg)
-                in
+                let trace = Sim.Trace.of_trace_gen tg in
                 (* Engine differential, once per seed: the word-granular
-                   reference, the compressed-replay fast path and the
-                   fused VM->cache stream must agree on every result
-                   field for the natural map.  A mismatch is a
-                   shrinkable Simulation-stage failure like any
-                   other. *)
+                   reference, the block-granular sweep and the fused
+                   VM->cache stream must agree on every result field for
+                   the natural map, after the codec check has pinned the
+                   compressed trace to the buffered recording.  A
+                   mismatch is a shrinkable Simulation-stage failure
+                   like any other. *)
                 let engine_diags =
+                  match codec_diags tg trace with
+                  | _ :: _ as ds -> ds
+                  | [] -> (
                   let one what = function
                     | [ (r : Sim.Driver.result) ] -> r
                     | rs ->
@@ -200,11 +233,10 @@ let check_program ?(strategies = Placement.Strategy.all)
                   match
                     catching Ir.Diag.Simulation (fun () ->
                         let m = p.Placement.Pipeline.natural in
-                        let buffered = Sim.Driver.simulate sim_config m raw in
-                        let replayed =
-                          one "compressed replay"
-                            (Sim.Driver.simulate_many_serial [ sim_config ]
-                               m compressed)
+                        let reference = Sim.Driver.simulate sim_config m trace in
+                        let swept =
+                          one "block-granular sweep"
+                            (Sim.Driver.simulate_many [ sim_config ] m trace)
                         in
                         let streamed =
                           one "fused stream"
@@ -213,36 +245,36 @@ let check_program ?(strategies = Placement.Strategy.all)
                                   [ sim_config ] m
                                   p.Placement.Pipeline.program case_input))
                         in
-                        (buffered, replayed, streamed))
+                        (reference, swept, streamed))
                   with
                   | Error ds -> ds
-                  | Ok (buffered, replayed, streamed) ->
-                    (if replayed = buffered then []
+                  | Ok (reference, swept, streamed) ->
+                    (if swept = reference then []
                      else
                        [
                          Ir.Diag.make ~stage:Ir.Diag.Simulation
-                           "compressed-trace replay diverged from the \
-                            buffered reference simulation";
+                           "block-granular sweep diverged from the \
+                            word-granular reference simulation";
                        ])
                     @
-                    if streamed = buffered then []
+                    if streamed = reference then []
                     else
                       [
                         Ir.Diag.make ~stage:Ir.Diag.Simulation
                           "fused streaming simulation diverged from the \
-                           buffered reference simulation";
-                      ]
+                           word-granular reference simulation";
+                      ])
                 in
                 match engine_diags with
                 | _ :: _ -> engine_diags
                 | [] ->
                   let reference =
-                    Sim.Trace.dyn_insns p.Placement.Pipeline.natural raw
+                    Sim.Trace.dyn_insns p.Placement.Pipeline.natural trace
                   in
                   List.concat_map
                     (fun ((s : Placement.Strategy.t), m) ->
                       let id = s.Placement.Strategy.id in
-                      let n = Sim.Trace.dyn_insns m raw in
+                      let n = Sim.Trace.dyn_insns m trace in
                       if n <> reference then
                         [
                           Ir.Diag.make ~stage:Ir.Diag.Simulation
@@ -254,7 +286,7 @@ let check_program ?(strategies = Placement.Strategy.all)
                       else
                         match
                           catching Ir.Diag.Simulation (fun () ->
-                              Sim.Driver.simulate sim_config m raw)
+                              Sim.Driver.simulate sim_config m trace)
                         with
                         | Error ds ->
                           List.map
@@ -270,13 +302,13 @@ let check_program ?(strategies = Placement.Strategy.all)
                                 r.Sim.Driver.accesses n;
                             ]
                           else
-                            (* Per-map: the compressed store must replay
-                               to the reference result under this
+                            (* Per-map: the block-granular sweep must
+                               match the reference result under this
                                strategy's addresses too. *)
                             match
                               catching Ir.Diag.Simulation (fun () ->
-                                  Sim.Driver.simulate_many_serial
-                                    [ sim_config ] m compressed)
+                                  Sim.Driver.simulate_many [ sim_config ] m
+                                    trace)
                             with
                             | Error ds ->
                               List.map
@@ -288,8 +320,8 @@ let check_program ?(strategies = Placement.Strategy.all)
                                 [
                                   Ir.Diag.make ~stage:Ir.Diag.Simulation
                                     ~strategy:id
-                                    "compressed-trace replay diverged \
-                                     from the reference under this map";
+                                    "block-granular sweep diverged from \
+                                     the reference under this map";
                                 ]
                               else (
                                 (* Soundness oracle: replay the trace
@@ -299,7 +331,7 @@ let check_program ?(strategies = Placement.Strategy.all)
                                 match
                                   catching Ir.Diag.Simulation (fun () ->
                                       Absint_exp.check_oracle ~strategy:id
-                                        p.Placement.Pipeline.program m raw)
+                                        p.Placement.Pipeline.program m trace)
                                 with
                                 | Error ds ->
                                   List.map

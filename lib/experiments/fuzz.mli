@@ -23,6 +23,11 @@ val check_program :
     [strategies] defaults to the full registry; tests inject broken
     strategies here. *)
 
+val codec_diags : Sim.Trace_gen.t -> Sim.Trace.t -> Ir.Diag.t list
+(** Codec check: [[]] iff the compressed trace decodes to exactly the
+    buffered recording's [(fid, label)] sequence, compared element by
+    element; otherwise one diagnostic naming the first differing block. *)
+
 val run_seed :
   ?size:int -> ?strategies:Placement.Strategy.t list -> int ->
   failure option

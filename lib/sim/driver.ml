@@ -20,7 +20,7 @@
      (property-tested in test/test_fast_sim.ml).
 
    The fast path consumes any re-walkable block [source] — a stored
-   trace (buffered or compressed, see [Trace]) or the VM itself
+   trace (see [Trace]) or the VM itself
    ([simulate_stream]), in which case a single execution feeds every
    configuration with no materialized trace at all. *)
 
@@ -302,9 +302,6 @@ let simulate_source_serial ?(timing_model = Icache.Timing.default_model)
   let results = List.map result_of states in
   record_metrics results;
   results
-
-let simulate_many_serial ?timing_model configs map trace =
-  simulate_source_serial ?timing_model configs map (Trace.source trace)
 
 (* Split [xs] into [k] contiguous runs whose lengths differ by at most
    one, longer runs first — concatenating the runs rebuilds [xs]. *)

@@ -55,17 +55,10 @@ val simulate_many :
     using {!Icache.Cache.access_run} (one tag probe per cache block
     touched).  Bit-identical to running {!simulate} per configuration.
 
-    When a default {!Placement.Pool} with more than one lane is set, the
-    configuration list is partitioned into contiguous chunks (one per
-    lane) simulated on separate domains; results are concatenated back
-    in input order, so the output is bit-identical to the serial sweep.
-    Each chunk re-walks the trace. *)
-
-val simulate_many_serial :
-  ?timing_model:Icache.Timing.model ->
-  Icache.Config.t list ->
-  Placement.Address_map.t ->
-  Trace.t ->
-  result list
-(** The single-domain sweep {!simulate_many} partitions over; walks the
-    trace exactly once and ignores the default pool. *)
+    When a default {!Placement.Pool} with more than one lane is set and
+    there are at least two configurations, the configuration list is
+    partitioned into contiguous chunks (one per lane) simulated on
+    separate domains; results are concatenated back in input order, so
+    the output is bit-identical to the serial sweep.  Each chunk
+    re-walks the trace.  Otherwise the trace is walked exactly once on
+    the calling domain. *)

@@ -206,3 +206,16 @@ let profile_disagreements (prof : Vm.Profile.t) (oracle : Ref_profile.t) =
       done)
     prog.Ir.Prog.funcs;
   List.rev !bad
+
+(* Run-count oracle: maximal runs of consecutive packed codes in a
+   buffered recording — the grouping the compressed trace store
+   performs. *)
+let raw_runs (tg : Sim.Trace_gen.t) =
+  let runs = ref 0 in
+  let next = ref min_int in
+  Sim.Ivec.iter
+    (fun code ->
+      if code <> !next then incr runs;
+      next := code + 1)
+    tg.Sim.Trace_gen.blocks;
+  !runs

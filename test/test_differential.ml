@@ -78,7 +78,7 @@ let prop_layouts_agree_on_accesses =
       let p = Ir.Lower.program ast in
       let pl = Placement.Pipeline.run p ~inputs:[ Vm.Io.input [] ] in
       let trace =
-        Sim.Trace.of_gen
+        Sim.Trace.of_trace_gen
           (Sim.Trace_gen.record pl.Placement.Pipeline.program
              (Vm.Io.input []))
       in

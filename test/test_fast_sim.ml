@@ -115,7 +115,7 @@ let prop_simulate_many_equals_simulate =
       let p = Ir.Lower.program ast in
       let pl = Placement.Pipeline.run p ~inputs:[ Vm.Io.input [] ] in
       let trace =
-        Sim.Trace.of_gen
+        Sim.Trace.of_trace_gen
           (Sim.Trace_gen.record pl.Placement.Pipeline.program
              (Vm.Io.input []))
       in

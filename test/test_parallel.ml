@@ -96,14 +96,15 @@ let tables_bit_identical () =
     serial parallel
 
 (* simulate_many's contiguous config partition concatenates back to the
-   serial sweep's exact results. *)
+   serial sweep's exact results: with no default pool set (-j 1) it walks
+   the trace once on this domain; under a 4-lane pool (-j 4) it splits. *)
 let driver_partition_identical () =
   let ctx = Experiments.Context.create ~names:[ "cmp" ] () in
   let e = Experiments.Context.find ctx "cmp" in
   let map = Experiments.Context.optimized_map e in
   let trace = Experiments.Context.trace e in
   let configs = Experiments.Table6.configs in
-  let serial = Sim.Driver.simulate_many_serial configs map trace in
+  let serial = Sim.Driver.simulate_many configs map trace in
   let parallel =
     with_default_pool 4 (fun _ -> Sim.Driver.simulate_many configs map trace)
   in

@@ -83,7 +83,7 @@ let optimized_not_worse () =
     (fun name ->
       let p = run_pipeline name in
       let trace =
-        Sim.Trace.of_gen
+        Sim.Trace.of_trace_gen
           (Sim.Trace_gen.record p.Placement.Pipeline.program
              (List.hd (small_inputs name)))
       in

@@ -34,7 +34,7 @@ let driver_metrics () =
   let map = Placement.Address_map.natural p in
   (* A cache big enough for everything: only compulsory misses. *)
   let big = Icache.Config.make ~size:65536 ~block:64 () in
-  let r = Sim.Driver.simulate big map (Sim.Trace.of_gen trace) in
+  let r = Sim.Driver.simulate big map (Sim.Trace.of_trace_gen trace) in
   Alcotest.(check int) "accesses = dyn insns"
     (Sim.Trace_gen.dyn_insns map trace)
     r.Sim.Driver.accesses;

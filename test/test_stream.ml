@@ -1,15 +1,15 @@
-(* The streaming/compressed trace store (PR 7):
+(* The compressed trace store ([Sim.Trace]):
 
-   - Ctrace round-trip: the run-length/delta coder reproduces the exact
+   - Codec round-trip: the run-length/delta coder reproduces the exact
      pushed code sequence (QCheck over adversarial run shapes).
-   - Engine differentials on every benchmark: buffered and streaming
-     recordings, compressed replay, and the fused VM→cache engine all
-     produce bit-identical simulation results against the word-granular
-     reference.
-   - Rendered-table bit-identity between engines.
+   - Differentials on every benchmark: the compressed and fused
+     recordings decode to the buffered [Trace_gen.record] oracle's block
+     sequence, and the block-granular sweep, the fused VM→cache engine
+     and the word-granular reference agree bit for bit.
    - Scaled workloads keep the original semantics (same return value and
      output, strictly more fetches and functions).
-   - The trace.* gauges account raw vs stored bytes. *)
+   - The trace.* gauges and [Trace.stats] account runs, raw and stored
+     bytes as the buffered oracle counts them. *)
 
 let results_equal (a : Sim.Driver.result) (b : Sim.Driver.result) =
   a.Sim.Driver.accesses = b.Sim.Driver.accesses
@@ -34,14 +34,14 @@ let interp_results_equal (a : Vm.Interp.result) (b : Vm.Interp.result) =
   && Vm.Io.output a.Vm.Interp.io 0 = Vm.Io.output b.Vm.Interp.io 0
   && Vm.Io.output a.Vm.Interp.io 1 = Vm.Io.output b.Vm.Interp.io 1
 
-(* A real interpreter result for Ctrace.finish in the synthetic
+(* A real interpreter result for Trace.finish in the synthetic
    round-trip tests (its content is irrelevant there). *)
 let dummy_result =
   lazy
     (let b = Workloads.Registry.find "cmp" in
      Vm.Interp.run (Workloads.Bench.program b) (Workloads.Bench.trace_input b))
 
-(* --- Ctrace round-trip on synthetic code sequences --- *)
+(* --- codec round-trip on synthetic code sequences --- *)
 
 (* Expand a run spec into the explicit packed-code list: [(base, len)]
    means codes base, base+1, ..., base+len-1.  Bases are arbitrary (runs
@@ -50,9 +50,9 @@ let dummy_result =
 let expand_runs spec =
   List.concat_map (fun (base, len) -> List.init len (fun k -> base + k)) spec
 
-let codes_of_ctrace ct =
+let codes_of_trace ct =
   let out = ref [] in
-  Sim.Ctrace.iter_runs (fun ~code ~len ->
+  Sim.Trace.iter_runs (fun ~code ~len ->
       for k = 0 to len - 1 do
         out := (code + k) :: !out
       done)
@@ -79,28 +79,28 @@ let runs_gen =
               ])
            (int_range 1 30)))
 
-let prop_ctrace_roundtrip =
+let prop_codec_roundtrip =
   QCheck.Test.make ~name:"Ctrace push/replay identity (arbitrary runs)"
     ~count:200 runs_gen (fun spec ->
       let codes = expand_runs spec in
-      let b = Sim.Ctrace.builder () in
-      List.iter (Sim.Ctrace.push b) codes;
-      let ct = Sim.Ctrace.finish b (Lazy.force dummy_result) in
-      codes_of_ctrace ct = codes
-      && Sim.Ctrace.dyn_blocks ct = List.length codes
-      && Sim.Ctrace.raw_bytes ct = 8 * List.length codes)
+      let b = Sim.Trace.builder () in
+      List.iter (Sim.Trace.push b) codes;
+      let ct = Sim.Trace.finish b (Lazy.force dummy_result) in
+      codes_of_trace ct = codes
+      && Sim.Trace.dyn_blocks ct = List.length codes
+      && (Sim.Trace.stats ct).Sim.Trace.st_raw_bytes = 8 * List.length codes)
 
 (* Run coalescing: consecutive codes must land in one run, so the run
    count equals the number of breaks in the sequence. *)
-let ctrace_coalesces () =
-  let b = Sim.Ctrace.builder () in
-  List.iter (Sim.Ctrace.push b) [ 5; 6; 7; 42; 43; 9; 5; 6 ];
-  let ct = Sim.Ctrace.finish b (Lazy.force dummy_result) in
-  Alcotest.(check int) "4 runs" 4 (Sim.Ctrace.runs ct);
-  Alcotest.(check int) "8 blocks" 8 (Sim.Ctrace.dyn_blocks ct);
+let codec_coalesces () =
+  let b = Sim.Trace.builder () in
+  List.iter (Sim.Trace.push b) [ 5; 6; 7; 42; 43; 9; 5; 6 ];
+  let s = Sim.Trace.stats (Sim.Trace.finish b (Lazy.force dummy_result)) in
+  Alcotest.(check int) "4 runs" 4 s.Sim.Trace.st_runs;
+  Alcotest.(check int) "8 blocks" 8 s.Sim.Trace.st_blocks;
   Alcotest.(check bool)
     "compressed below raw" true
-    (Sim.Ctrace.compressed_bytes ct < Sim.Ctrace.raw_bytes ct)
+    (s.Sim.Trace.st_stored_bytes < s.Sim.Trace.st_raw_bytes)
 
 (* --- engine differentials on every benchmark --- *)
 
@@ -115,58 +115,53 @@ let diff_configs =
   ]
 
 (* For one benchmark (natural layout, no pipeline: this pins the trace
-   store, not the placement), every representation and engine must agree
-   with the buffered word-granular reference. *)
+   store, not the placement), both compressed recordings must decode to
+   the buffered oracle, and every engine must agree on them. *)
 let check_benchmark name =
   let b = Workloads.Registry.find name in
   let program = Workloads.Bench.program b in
   let input = Workloads.Bench.trace_input b in
   let map = Placement.Address_map.natural program in
   let tg = Sim.Trace_gen.record program input in
-  let raw = Sim.Trace.of_gen tg in
-  let packed = Sim.Trace.of_ctrace (Sim.Ctrace.of_trace_gen tg) in
-  let streamed = Sim.Trace.record ~engine:Sim.Trace.Streaming program input in
+  let packed = Sim.Trace.of_trace_gen tg in
+  let streamed = Sim.Trace.record program input in
   (* Identical executions and block streams. *)
+  let same_blocks what trace =
+    Alcotest.(check (list string))
+      (name ^ ": " ^ what ^ " blocks") []
+      (List.map Ir.Diag.to_string (Experiments.Fuzz.codec_diags tg trace))
+  in
+  same_blocks "packed" packed;
+  same_blocks "streamed" streamed;
   Alcotest.(check int)
-    (name ^ ": packed blocks") (Sim.Trace.dyn_blocks raw)
-    (Sim.Trace.dyn_blocks packed);
+    (name ^ ": packed dyn_insns") (Sim.Trace_gen.dyn_insns map tg)
+    (Sim.Trace.dyn_insns map packed);
   Alcotest.(check int)
-    (name ^ ": streamed blocks") (Sim.Trace.dyn_blocks raw)
-    (Sim.Trace.dyn_blocks streamed);
-  Alcotest.(check int)
-    (name ^ ": dyn_insns") (Sim.Trace.dyn_insns map raw)
+    (name ^ ": streamed dyn_insns") (Sim.Trace_gen.dyn_insns map tg)
     (Sim.Trace.dyn_insns map streamed);
   Alcotest.(check bool)
     (name ^ ": results agree") true
-    (interp_results_equal (Sim.Trace.result streamed) (Sim.Trace.result raw));
-  (* Block-granular sweep per representation plus the fused VM→cache
-     engine: all bit-identical.  (Word-vs-block equivalence itself is
-     covered by the fast_sim/differential suites; here the subject is
-     the representation and the fusion.) *)
-  let baseline = Sim.Driver.simulate_many diff_configs map raw in
-  let agree label rs =
-    Alcotest.(check bool) (name ^ ": " ^ label) true
-      (List.for_all2 results_equal baseline rs)
-  in
-  agree "simulate_many on packed"
-    (Sim.Driver.simulate_many diff_configs map packed);
+    (interp_results_equal (Sim.Trace.result streamed) tg.Sim.Trace_gen.result);
   (* The fused recording must produce the byte-identical encoding to
      compressing a buffered recording — which pins its replay to the
-     packed sweep above without another walk. *)
-  (match (streamed, packed) with
-  | Sim.Trace.Packed sct, Sim.Trace.Packed pct ->
-    Alcotest.(check bool)
-      (name ^ ": fused recording encodes identically") true
-      (Bytes.equal sct.Sim.Ctrace.data pct.Sim.Ctrace.data
-      && Sim.Ctrace.runs sct = Sim.Ctrace.runs pct)
-  | _ -> Alcotest.fail (name ^ ": expected compressed representations"));
+     packed sweep below without another walk. *)
+  Alcotest.(check bool)
+    (name ^ ": fused recording encodes identically") true
+    (Bytes.equal streamed.Sim.Trace.data packed.Sim.Trace.data
+    && streamed.Sim.Trace.runs = packed.Sim.Trace.runs);
+  (* Block-granular sweep of the compressed trace plus the fused
+     VM→cache engine: bit-identical.  (Word-vs-block equivalence itself
+     is covered by the fast_sim/differential suites; here the subject is
+     the store and the fusion.) *)
+  let baseline = Sim.Driver.simulate_many diff_configs map packed in
   let fused, vm_result = Sim.Driver.simulate_stream diff_configs map program input in
-  agree "fused simulate_stream" fused;
-  (* One word-granular reference point on the compressed representation
-     per benchmark whose trace keeps the word-by-word walk viable (the
+  Alcotest.(check bool) (name ^ ": fused simulate_stream") true
+    (List.for_all2 results_equal baseline fused);
+  (* One word-granular reference point on the compressed trace per
+     benchmark whose trace keeps the word-by-word walk viable (the
      equivalence itself is config-independent and covered on random
      programs by the differential suites). *)
-  if Sim.Trace.dyn_blocks raw < 500_000 then begin
+  if Sim.Trace.dyn_blocks packed < 500_000 then begin
     let c0 = List.hd diff_configs in
     Alcotest.(check bool)
       (name ^ ": word-granular reference on packed") true
@@ -174,7 +169,7 @@ let check_benchmark name =
   end;
   Alcotest.(check bool)
     (name ^ ": fused VM result") true
-    (interp_results_equal vm_result (Sim.Trace.result raw));
+    (interp_results_equal vm_result tg.Sim.Trace_gen.result);
   (* The compressed representation really is smaller. *)
   let s = Sim.Trace.stats packed in
   Alcotest.(check bool)
@@ -183,21 +178,6 @@ let check_benchmark name =
 
 let engines_agree_all_benchmarks () =
   List.iter check_benchmark Workloads.Registry.names
-
-(* --- rendered tables identical across engines --- *)
-
-let tables_identical_across_engines () =
-  let render engine =
-    let ctx =
-      Experiments.Context.create ~engine ~names:[ "cmp"; "tee" ] ()
-    in
-    let o = Experiments.Runner.run_spec ctx (Experiments.Runner.find "6") in
-    Report.Table.render o.Experiments.Runner.table
-  in
-  Alcotest.(check string)
-    "table 6 identical under buffered and streaming"
-    (render Sim.Trace.Buffered)
-    (render Sim.Trace.Streaming)
 
 (* --- scaled workloads preserve semantics --- *)
 
@@ -246,8 +226,7 @@ let gauges_account_recordings () =
   and runs0 = g "trace.runs" in
   let b = Workloads.Registry.find "cmp" in
   let t =
-    Sim.Trace.record ~engine:Sim.Trace.Streaming (Workloads.Bench.program b)
-      (Workloads.Bench.trace_input b)
+    Sim.Trace.record (Workloads.Bench.program b) (Workloads.Bench.trace_input b)
   in
   Obs.Metrics.set_enabled was;
   let s = Sim.Trace.stats t in
@@ -263,34 +242,29 @@ let gauges_account_recordings () =
   Alcotest.(check bool) "stored < raw" true
     (s.Sim.Trace.st_stored_bytes < s.Sim.Trace.st_raw_bytes)
 
-(* Raw and packed stats describe the same trace identically except for
-   the stored size. *)
+(* The stats of a recording are the counts taken from the buffered
+   oracle of the same execution; only the stored size is smaller. *)
 let stats_consistent () =
   let b = Workloads.Registry.find "wc" in
-  let tg =
-    Sim.Trace_gen.record (Workloads.Bench.program b)
-      (Workloads.Bench.trace_input b)
-  in
-  let sr = Sim.Trace.stats (Sim.Trace.of_gen tg) in
-  let sp = Sim.Trace.stats (Sim.Trace.of_ctrace (Sim.Ctrace.of_trace_gen tg)) in
-  Alcotest.(check int) "same runs" sr.Sim.Trace.st_runs sp.Sim.Trace.st_runs;
-  Alcotest.(check int) "same blocks" sr.Sim.Trace.st_blocks sp.Sim.Trace.st_blocks;
-  Alcotest.(check int) "same raw bytes" sr.Sim.Trace.st_raw_bytes
-    sp.Sim.Trace.st_raw_bytes;
-  Alcotest.(check bool) "raw stores raw" true
-    (sr.Sim.Trace.st_stored_bytes = sr.Sim.Trace.st_raw_bytes);
+  let program = Workloads.Bench.program b in
+  let input = Workloads.Bench.trace_input b in
+  let tg = Sim.Trace_gen.record program input in
+  let s = Sim.Trace.stats (Sim.Trace.record program input) in
+  let blocks = Sim.Trace_gen.dyn_blocks tg in
+  Alcotest.(check int) "same runs" (Helpers.raw_runs tg) s.Sim.Trace.st_runs;
+  Alcotest.(check int) "same blocks" blocks s.Sim.Trace.st_blocks;
+  Alcotest.(check int) "raw bytes = 8 x blocks" (8 * blocks)
+    s.Sim.Trace.st_raw_bytes;
   Alcotest.(check bool) "packed stores less" true
-    (sp.Sim.Trace.st_stored_bytes < sp.Sim.Trace.st_raw_bytes)
+    (s.Sim.Trace.st_stored_bytes < s.Sim.Trace.st_raw_bytes)
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_ctrace_roundtrip;
+    QCheck_alcotest.to_alcotest prop_codec_roundtrip;
     Alcotest.test_case "Ctrace coalesces consecutive codes" `Quick
-      ctrace_coalesces;
+      codec_coalesces;
     Alcotest.test_case "engines agree on every benchmark" `Slow
       engines_agree_all_benchmarks;
-    Alcotest.test_case "tables identical across engines" `Slow
-      tables_identical_across_engines;
     Alcotest.test_case "scale preserves semantics" `Quick
       scale_preserves_semantics;
     Alcotest.test_case "scale grows the trace monotonically" `Slow

@@ -1,6 +1,6 @@
 # Convenience targets; CI runs `make ci` on every PR.
 
-.PHONY: all build test bench bench-smoke strategy-smoke fuzz-smoke validate-smoke obs-smoke front-end-smoke lint-smoke absint-smoke par-smoke stream-smoke serve-smoke trace-smoke soak-smoke ci clean
+.PHONY: all build test bench strategy-smoke fuzz-smoke validate-smoke obs-smoke front-end-smoke lint-smoke absint-smoke par-smoke stream-smoke serve-smoke trace-smoke soak-smoke ci clean
 
 all: build
 
@@ -10,16 +10,13 @@ build:
 test:
 	dune runtest
 
-# Full evaluation: every table, figures, engine speedup, micro-benchmarks.
+# The repo benchmark (BENCHMARK.json; see perfbench/NOTES.md): each
+# workload end to end, one seeded 10-second run, untraced.  The
+# paper's tables and Figures A-C come from `impact all`.
 bench:
-	dune exec bench/main.exe
-
-# Fast end-to-end exercise of the block-granular simulation engine:
-# one table, one benchmark, plus the reference-vs-fast engine comparison.
-# `--out ""` keeps the smoke run from clobbering the committed full-run
-# report (BENCH_pr7.json).
-bench-smoke:
-	dune exec bench/main.exe -- --only t6 --benchmarks wc --out ""
+	python3 perfbench/run.py --workload compile-suite --seed 1 --seconds 10 --trace 0
+	python3 perfbench/run.py --workload design-sweep --seed 1 --seconds 10 --trace 0
+	python3 perfbench/run.py --workload serve-mixed --seed 1 --seconds 10 --trace 0
 
 # Smoke the layout-strategy registry: the listing must enumerate it and
 # the comparison experiment must run every registered strategy end to end.
@@ -181,7 +178,7 @@ soak-smoke:
 	  --soak-out _soak/soak.json -q
 	dune exec bin/checkjson.exe -- _soak/soak.json
 
-ci: build test bench-smoke strategy-smoke fuzz-smoke validate-smoke obs-smoke front-end-smoke lint-smoke absint-smoke par-smoke stream-smoke serve-smoke trace-smoke soak-smoke
+ci: build test strategy-smoke fuzz-smoke validate-smoke obs-smoke front-end-smoke lint-smoke absint-smoke par-smoke stream-smoke serve-smoke trace-smoke soak-smoke
 
 clean:
 	dune clean

@@ -265,11 +265,12 @@ let all_cmd =
           o)
         Experiments.Runner.all
     in
+    print_string (Experiments.Runner.figures ctx);
     Option.iter (fun p -> write_json_report p ~names outcomes) obs.json_out;
     run_validation validate ctx
   in
   Cmd.v
-    (Cmd.info "all" ~doc:"Regenerate every table")
+    (Cmd.info "all" ~doc:"Regenerate every table, then Figures A-C")
     Term.(
       const run $ bench_names_arg $ scale_arg $ validate_arg $ obs_term
       $ jobs_term)

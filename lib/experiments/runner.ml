@@ -88,5 +88,34 @@ let run_spec ctx spec =
 
 let run_one ctx spec = Report.Table.render (run_spec ctx spec).table
 
-let run_all ctx =
-  String.concat "\n" (List.map (fun spec -> run_one ctx spec) all)
+(* Trend figures: the Table 6 sweep as sparklines and the 2KB design
+   point as a bar chart, natural vs optimized. *)
+let figures ctx =
+  let rows = Table6.compute ctx in
+  let pct v = Printf.sprintf "%.2f%%" (100. *. v) in
+  let ablation = Ablation.compute ctx in
+  String.concat "\n"
+    [
+      Report.Chart.sparklines ~format:pct
+        ~title:
+          "Figure A: miss ratio vs cache size (direct-mapped, 64B blocks, \
+           optimized layout; glyph ramp ' .:-=+*#@' scaled to the worst \
+           point)"
+        ~points:[ "8K"; "4K"; "2K"; "1K"; "0.5K" ]
+        (List.map
+           (fun (r : Sweep.row) ->
+             (r.Sweep.name, List.map (fun c -> c.Sweep.miss) r.Sweep.cells))
+           rows);
+      Report.Chart.bars ~format:pct
+        ~title:
+          "Figure B: 2KB/64B miss ratio, natural layout (pre-inlining \
+           baseline)"
+        (List.map
+           (fun (r : Ablation.row) -> (r.Ablation.name, r.Ablation.baseline))
+           ablation);
+      Report.Chart.bars ~format:pct
+        ~title:"Figure C: 2KB/64B miss ratio, full placement pipeline"
+        (List.map
+           (fun (r : Ablation.row) -> (r.Ablation.name, r.Ablation.full))
+           ablation);
+    ]

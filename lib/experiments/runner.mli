@@ -32,4 +32,7 @@ val run_spec : Context.t -> spec -> outcome
 val run_one : Context.t -> spec -> string
 (** [run_spec] rendered to the plain-text table. *)
 
-val run_all : Context.t -> string
+val figures : Context.t -> string
+(** Figures A-C, rendered: the Table 6 cache-size sweep as sparklines
+    and the Table 12 2KB/64B design point as natural-layout and
+    full-pipeline bar charts, one row per benchmark each. *)

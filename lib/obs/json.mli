@@ -12,6 +12,11 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+val float_repr : float -> string
+(** The emitter's number form: the shortest decimal that
+    [float_of_string] reads back to exactly [f] (integers keep a
+    trailing [.0]); ["null"] for a non-finite [f]. *)
+
 val to_string : t -> string
 val to_channel : out_channel -> t -> unit
 

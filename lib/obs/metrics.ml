@@ -236,7 +236,8 @@ let dump () =
           (Printf.sprintf "counter    %-52s %d\n" name (Atomic.get c.count))
       | G g ->
         Buffer.add_string buf
-          (Printf.sprintf "gauge      %-52s %g\n" name g.value)
+          (Printf.sprintf "gauge      %-52s %s\n" name
+             (Json.float_repr g.value))
       | H h ->
         Buffer.add_string buf
           (Printf.sprintf

@@ -55,7 +55,8 @@ val clear : unit -> unit
 
 val dump : unit -> string
 (** Deterministic text report, one line per metric, names sorted.
-    Histogram lines include p50/p90/p99 from {!hist_quantile}. *)
+    Gauges print in {!Json.float_repr}'s round-trip form; histogram
+    lines include p50/p90/p99 from {!hist_quantile}. *)
 
 val to_json : unit -> Json.t
 (** The registry as an [impact.metrics/v1] document: metrics sorted by

@@ -360,6 +360,29 @@ let metrics_dump_quantiles () =
   Alcotest.(check bool) "dump carries p50" true
     (contains ~needle:expect (Obs.Metrics.dump ()))
 
+(* Gauges dump in the round-trip float form: a byte count must read
+   back exactly, not as six significant digits (2.29618e+06). *)
+let metrics_dump_gauge_roundtrip () =
+  with_clean_telemetry @@ fun () ->
+  Obs.Metrics.set_enabled true;
+  let g = Obs.Metrics.gauge "test.obs.dumpg" in
+  let dumped v =
+    Obs.Metrics.set g v;
+    let line =
+      List.find
+        (fun l -> contains ~needle:"test.obs.dumpg" l)
+        (String.split_on_char '\n' (Obs.Metrics.dump ()))
+    in
+    match List.rev (String.split_on_char ' ' line) with
+    | last :: _ -> float_of_string last
+    | [] -> Alcotest.fail "empty gauge line"
+  in
+  List.iter
+    (fun v ->
+      Alcotest.(check (float 0.)) (Printf.sprintf "%.17g round-trips" v) v
+        (dumped v))
+    [ 2296181.; 1.25 ]
+
 let metrics_uniqueness () =
   with_clean_telemetry @@ fun () ->
   Obs.Metrics.set_enabled true;
@@ -492,6 +515,8 @@ let suite =
     Alcotest.test_case "empty histogram is all zeros" `Quick
       metrics_empty_histogram;
     Alcotest.test_case "dump carries quantiles" `Quick metrics_dump_quantiles;
+    Alcotest.test_case "dump gauges round-trip" `Quick
+      metrics_dump_gauge_roundtrip;
     Alcotest.test_case "span collect and add_attr" `Quick
       span_collect_and_attrs;
     Alcotest.test_case "span retention cap" `Quick span_cap;

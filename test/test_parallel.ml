@@ -76,6 +76,7 @@ let nested_map () =
 
 (* ---------------- serial vs parallel bit-identity ---------------- *)
 
+(* The rendered tables, then Figures A-C as `impact all` prints them. *)
 let render_tables ids names =
   let ctx = Experiments.Context.create ~names () in
   List.map
@@ -84,16 +85,49 @@ let render_tables ids names =
       Report.Table.render
         (Experiments.Runner.run_spec ctx spec).Experiments.Runner.table)
     ids
+  @ [ Experiments.Runner.figures ctx ]
 
-(* The same tables rendered on the serial path and under a 4-lane
-   default pool must be byte-identical strings. *)
+(* Split the figure string at its title lines; each block is the rows
+   of one figure. *)
+let figure_blocks figures =
+  List.fold_left
+    (fun blocks line ->
+      if String.starts_with ~prefix:"Figure " line then [] :: blocks
+      else
+        match blocks with
+        | rows :: rest -> (line :: rows) :: rest
+        | [] -> Alcotest.fail "figure row before any title")
+    []
+    (String.split_on_char '\n' figures)
+
+(* The same tables and figures rendered on the serial path and under a
+   4-lane default pool must be byte-identical strings. *)
 let tables_bit_identical () =
   let ids = [ "6"; "17" ] and names = [ "cmp"; "wc" ] in
   let serial = render_tables ids names in
   let parallel = with_default_pool 4 (fun _ -> render_tables ids names) in
   List.iter2
-    (fun s p -> Alcotest.(check string) "rendered table" s p)
-    serial parallel
+    (fun s p -> Alcotest.(check string) "rendered output" s p)
+    serial parallel;
+  (* Figures A, B and C each have one row per benchmark: a line whose
+     first word is its name. *)
+  let blocks = figure_blocks (List.nth serial (List.length ids)) in
+  Alcotest.(check int) "three figures" 3 (List.length blocks);
+  List.iter
+    (fun rows ->
+      List.iter
+        (fun name ->
+          let is_row l =
+            match String.split_on_char ' ' (String.trim l) with
+            | w :: _ -> w = name
+            | [] -> false
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "one %s row" name)
+            1
+            (List.length (List.filter is_row rows)))
+        names)
+    blocks
 
 (* simulate_many's contiguous config partition concatenates back to the
    serial sweep's exact results: with no default pool set (-j 1) it walks

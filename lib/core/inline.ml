@@ -162,9 +162,11 @@ let profile_passes =
   Obs.Metrics.counter "pipeline.profile_passes"
     ~help:"full profile passes over the profiling inputs"
 
+(* Every profile pass of the pipeline goes through here, so one span
+   charges all VM profiling time to [profile], inline rounds included. *)
 let profile prog inputs =
   Obs.Metrics.incr profile_passes;
-  Vm.Profile.profile prog inputs
+  Obs.Span.with_ ~stage:"profile" (fun () -> Vm.Profile.profile prog inputs)
 
 (* Full expansion: inline, re-profile, and repeat so that calls inside
    freshly inlined bodies can be expanded too (paper reduces dynamic calls

@@ -35,8 +35,9 @@ val expand_once :
 
 val profile : Prog.program -> Vm.Io.input list -> Vm.Profile.t
 (** One full profile pass over the inputs ({!Vm.Profile.profile}),
-    counted in the [pipeline.profile_passes] metric.  Every pass the
-    pipeline and the inliner make goes through here. *)
+    counted in the [pipeline.profile_passes] metric and timed in a
+    [profile] span.  Every pass the pipeline and the inliner make goes
+    through here. *)
 
 val expand :
   ?config:config ->

@@ -42,11 +42,7 @@ let run ?(config = default_config) (original : Prog.program)
     else original
   in
   (* Step 1: execution profiling of the original program. *)
-  let original_profile =
-    Obs.Span.with_ ~stage:"profile"
-      ~attrs:[ ("program", "original") ]
-      (fun () -> Inline.profile original inputs)
-  in
+  let original_profile = Inline.profile original inputs in
   (* Step 2: inline expansion of the important call sites, then a second
      cleanup pass over the splices.  [profile] is a profile of [program]
      whenever one is already in hand. *)
@@ -85,10 +81,7 @@ let run ?(config = default_config) (original : Prog.program)
   let profile =
     match profile with
     | Some p -> p
-    | None ->
-      Obs.Span.with_ ~stage:"profile"
-        ~attrs:[ ("program", "inlined") ]
-        (fun () -> Inline.profile program inputs)
+    | None -> Inline.profile program inputs
   in
   (* Step 3: trace selection per function. *)
   let selections =

@@ -2,7 +2,7 @@
 
    The algorithms are written against this small interface rather than
    against [Vm.Profile] directly, so tests can drive them with hand-built
-   weights and alternative profilers can be plugged in. *)
+   weights. *)
 
 open Ir
 
@@ -62,7 +62,8 @@ let call_of_profile (profile : Vm.Profile.t) =
   }
 
 (* Hand-built control-graph weights, for tests and examples: a list of
-   (block, count) and a list of (src, dst, count). *)
+   (block, count) and a list of (src, dst, count).  [arcs_out] follows
+   [Vm.Profile.out_arcs]' order. *)
 let cfg_of_lists ~func_weight ~blocks ~arcs =
   let block_tbl = Hashtbl.create 16 in
   List.iter (fun (l, c) -> Hashtbl.replace block_tbl l c) blocks;
@@ -74,6 +75,9 @@ let cfg_of_lists ~func_weight ~blocks ~arcs =
       Hashtbl.replace ins dst
         ((src, c) :: (Option.value ~default:[] (Hashtbl.find_opt ins dst))))
     arcs;
+  Hashtbl.filter_map_inplace
+    (fun _ a -> Some (List.sort Vm.Profile.arc_order a))
+    outs;
   {
     func_weight;
     block =

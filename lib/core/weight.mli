@@ -31,4 +31,5 @@ val cfg_of_lists :
   blocks:(Cfg.label * int) list ->
   arcs:(Cfg.label * Cfg.label * int) list ->
   cfg_weights
-(** Hand-built weights for tests and examples. *)
+(** Hand-built weights for tests and examples.  [arcs_out] lists a
+    block's arcs in {!Vm.Profile.arc_order}, as a profile would. *)

@@ -17,9 +17,9 @@
      instructions;
    - the compressed trace decodes to exactly the buffered recording's
      block sequence (the codec check);
-   - the three simulation engines agree bit-for-bit on that compressed
-     trace: the word-granular reference, the block-granular sweep (per
-     map) and the fused VM->cache stream (once per seed, natural map);
+   - the two simulation engines agree bit-for-bit on that compressed
+     trace: the word-granular reference and the block-granular sweep
+     (per map);
 
    - the abstract-interpretation cache bounds ([Analysis.Absint]) are
      sound against the simulated truth on small conflict-heavy
@@ -213,12 +213,11 @@ let check_program ?(strategies = Placement.Strategy.all)
               | Ok tg -> (
                 let trace = Sim.Trace.of_trace_gen tg in
                 (* Engine differential, once per seed: the word-granular
-                   reference, the block-granular sweep and the fused
-                   VM->cache stream must agree on every result field for
-                   the natural map, after the codec check has pinned the
-                   compressed trace to the buffered recording.  A
-                   mismatch is a shrinkable Simulation-stage failure
-                   like any other. *)
+                   reference and the block-granular sweep must agree on
+                   every result field for the natural map, after the
+                   codec check has pinned the compressed trace to the
+                   buffered recording.  A mismatch is a shrinkable
+                   Simulation-stage failure like any other. *)
                 let engine_diags =
                   match codec_diags tg trace with
                   | _ :: _ as ds -> ds
@@ -233,35 +232,18 @@ let check_program ?(strategies = Placement.Strategy.all)
                   match
                     catching Ir.Diag.Simulation (fun () ->
                         let m = p.Placement.Pipeline.natural in
-                        let reference = Sim.Driver.simulate sim_config m trace in
-                        let swept =
+                        ( Sim.Driver.simulate sim_config m trace,
                           one "block-granular sweep"
                             (Sim.Driver.simulate_many [ sim_config ] m trace)
-                        in
-                        let streamed =
-                          one "fused stream"
-                            (fst
-                               (Sim.Driver.simulate_stream ~fuel
-                                  [ sim_config ] m
-                                  p.Placement.Pipeline.program case_input))
-                        in
-                        (reference, swept, streamed))
+                        ))
                   with
                   | Error ds -> ds
-                  | Ok (reference, swept, streamed) ->
-                    (if swept = reference then []
-                     else
-                       [
-                         Ir.Diag.make ~stage:Ir.Diag.Simulation
-                           "block-granular sweep diverged from the \
-                            word-granular reference simulation";
-                       ])
-                    @
-                    if streamed = reference then []
+                  | Ok (reference, swept) ->
+                    if swept = reference then []
                     else
                       [
                         Ir.Diag.make ~stage:Ir.Diag.Simulation
-                          "fused streaming simulation diverged from the \
+                          "block-granular sweep diverged from the \
                            word-granular reference simulation";
                       ])
                 in

@@ -12,17 +12,15 @@
    Two engines share these definitions:
    - [simulate] is the word-granular reference: every instruction fetch
      goes through [Icache.Cache.access] one at a time;
-   - [simulate_source] is the block-granular fast path: the block source
-     is walked ONCE, each executed block becomes a single
+   - [simulate_many] is the block-granular fast path: the trace is
+     walked ONCE, each executed block becomes a single
      [Icache.Cache.access_run] call per configuration, and all
      configurations' caches, timers and run bookkeeping advance in the
      same pass.  Its results are bit-identical to the reference
      (property-tested in test/test_fast_sim.ml).
 
-   The fast path consumes any re-walkable block [source] — a stored
-   trace (see [Trace]) or the VM itself
-   ([simulate_stream]), in which case a single execution feeds every
-   configuration with no materialized trace at all. *)
+   The fast path walks the stored trace as a block [source]
+   ([Trace.source]). *)
 
 type source = (int -> Ir.Cfg.label -> unit) -> unit
 
@@ -324,7 +322,8 @@ let partition k xs =
   in
   go 0 xs
 
-let simulate_source ?timing_model configs map (source : source) =
+let simulate_many ?timing_model configs map trace =
+  let source = Trace.source trace in
   match Placement.Pool.default () with
   | Some pool
     when Placement.Pool.lanes pool > 1
@@ -333,10 +332,8 @@ let simulate_source ?timing_model configs map (source : source) =
        partition of the config list simulated per-chunk and concatenated
        in order is bit-identical to the serial sweep; only the source
        walk cost is shared.  The chunk count matches the lane count:
-       re-walking the source is the dominant cost, so finer chunks would
-       walk it more times for no balance win.  The source must therefore
-       be re-walkable and domain-safe (stored traces are; a raw VM feed
-       is re-executed per chunk — prefer {!simulate_stream} for that). *)
+       re-walking the trace is the dominant cost, so finer chunks would
+       walk it more times for no balance win. *)
     Obs.Span.with_ ~stage:"simulate"
       ~attrs:
         [
@@ -351,24 +348,3 @@ let simulate_source ?timing_model configs map (source : source) =
          (fun chunk -> simulate_source_serial ?timing_model chunk map source)
          (partition k configs))
   | _ -> simulate_source_serial ?timing_model configs map source
-
-let simulate_many ?timing_model configs map trace =
-  simulate_source ?timing_model configs map (Trace.source trace)
-
-(* Fused VM->cache engine: one interpreter execution pushes its block
-   stream straight into every configuration's cache state, with no
-   stored trace of any kind.  Always serial — the whole point is the
-   single walk. *)
-let simulate_stream ?timing_model ?fuel configs
-    (map : Placement.Address_map.t) (prog : Ir.Prog.program)
-    (input : Vm.Io.input) : result list * Vm.Interp.result =
-  let vm_result = ref None in
-  let results =
-    simulate_source_serial ?timing_model configs map (fun f ->
-        vm_result := Some (Trace_gen.stream ?fuel prog input ~sink:f))
-  in
-  match !vm_result with
-  | Some r -> (results, r)
-  | None ->
-    Ir.Diag.error ~stage:Ir.Diag.Simulation
-      "fused simulation finished without executing the program"

@@ -5,8 +5,7 @@
 type source = (int -> Ir.Cfg.label -> unit) -> unit
 (** A re-walkable stream of executed blocks: calling a source with a
     block consumer plays every [(fid, label)] in execution order.  Any
-    stored trace is a source ({!Trace.source}); so is the VM itself
-    ({!simulate_stream}). *)
+    stored trace is a source ({!Trace.source}). *)
 
 type result = {
   config : Icache.Config.t;
@@ -30,19 +29,6 @@ val simulate :
   result
 (** Word-granular reference engine: one {!Icache.Cache.access} per
     instruction fetch.  Kept as the oracle for differential tests. *)
-
-val simulate_stream :
-  ?timing_model:Icache.Timing.model ->
-  ?fuel:int ->
-  Icache.Config.t list ->
-  Placement.Address_map.t ->
-  Ir.Prog.program ->
-  Vm.Io.input ->
-  result list * Vm.Interp.result
-(** Fused VM→cache engine: one interpreter execution pushes its block
-    stream straight into every configuration's simulation state, with no
-    materialized trace.  Always serial (the point is the single walk);
-    results are bit-identical to recording a trace and replaying it. *)
 
 val simulate_many :
   ?timing_model:Icache.Timing.model ->

@@ -14,10 +14,10 @@
 
    The placement steps break ties between equal-weight arcs by their
    position in [out_arcs], so that order is part of every layout.  It is
-   the iteration order of a [Hashtbl] keyed by destination and filled in
-   the order the arcs were first counted — the order every committed
-   table, golden and fuzz report was produced with.  Each arc slot
-   therefore also records when it was first counted. *)
+   a stated rule over the counts alone — weight descending, then
+   destination label ascending — so a profile assembled from outside
+   counts, in any order, lays out exactly like the run that produced
+   them. *)
 
 open Ir
 
@@ -25,8 +25,6 @@ type func_profile = {
   block_counts : int array;
   succs : Cfg.label array array; (* succs.(src): Cfg.successors order *)
   arc_counts : int array array; (* arc_counts.(src).(slot) *)
-  first_counted : int array array; (* per slot: 1-based order, 0 = never *)
-  mutable arcs_seen : int; (* slots counted so far *)
   call_counts : int array; (* per block: calls its terminator issued *)
 }
 
@@ -49,15 +47,11 @@ let create (prog : Prog.program) =
         let succs =
           Array.map (fun b -> Array.of_list (Cfg.successors b)) f.blocks
         in
-        let per_slot () =
-          Array.map (fun s -> Array.make (Array.length s) 0) succs
-        in
         {
           block_counts = Array.make n 0;
           succs;
-          arc_counts = per_slot ();
-          first_counted = per_slot ();
-          arcs_seen = 0;
+          arc_counts =
+            Array.map (fun s -> Array.make (Array.length s) 0) succs;
           call_counts = Array.make n 0;
         })
       prog.funcs
@@ -83,14 +77,6 @@ let slot (succs : Cfg.label array) dst =
   done;
   if !i < n then !i else -1
 
-let count_arc fp src s c =
-  let counts = fp.arc_counts.(src) in
-  if counts.(s) = 0 && c <> 0 then begin
-    fp.arcs_seen <- fp.arcs_seen + 1;
-    fp.first_counted.(src).(s) <- fp.arcs_seen
-  end;
-  counts.(s) <- c
-
 let observer t =
   {
     Interp.on_block =
@@ -100,8 +86,8 @@ let observer t =
     on_arc =
       (fun fid src dst ->
         let fp = t.funcs.(fid) in
-        let s = slot fp.succs.(src) dst in
-        count_arc fp src s (fp.arc_counts.(src).(s) + 1));
+        let s = slot fp.succs.(src) dst and counts = fp.arc_counts.(src) in
+        counts.(s) <- counts.(s) + 1);
     on_call =
       (fun caller block callee ->
         let counts = t.funcs.(caller).call_counts in
@@ -138,21 +124,18 @@ let site_weight t ~caller ~block ~callee =
     t.funcs.(caller).call_counts.(block)
   else 0
 
+let arc_order (d1, c1) (d2, c2) =
+  if c1 <> c2 then Int.compare c2 c1 else Int.compare d1 d2
+
 (* Arcs that never ran are absent, as are slots a duplicate [Br] target
    left unused. *)
 let out_arcs t fid src =
   let fp = t.funcs.(fid) in
-  let succs = fp.succs.(src) and counts = fp.arc_counts.(src) in
-  let first = fp.first_counted.(src) in
-  let counted =
-    List.filter (fun s -> counts.(s) <> 0)
-      (List.init (Array.length succs) Fun.id)
-  in
-  let tbl = Hashtbl.create 4 in
-  List.iter
-    (fun s -> Hashtbl.replace tbl succs.(s) counts.(s))
-    (List.sort (fun a b -> compare first.(a) first.(b)) counted);
-  Hashtbl.fold (fun dst c acc -> (dst, c) :: acc) tbl []
+  let succs = fp.succs.(src) and arcs = ref [] in
+  Array.iteri
+    (fun s c -> if c <> 0 then arcs := (succs.(s), c) :: !arcs)
+    fp.arc_counts.(src);
+  List.sort arc_order !arcs
 
 let iter_arcs t fid f =
   let fp = t.funcs.(fid) in
@@ -200,7 +183,7 @@ let set_arc_weight t fid src dst c =
   let fp = t.funcs.(fid) in
   match slot fp.succs.(src) dst with
   | -1 -> invalid_arg "Profile.set_arc_weight: not a CFG successor"
-  | s -> count_arc fp src s c
+  | s -> fp.arc_counts.(src).(s) <- c
 
 let set_site_weight t ~caller ~block ~callee c =
   if t.prog.callees.(caller).(block) <> callee then

@@ -34,10 +34,13 @@ val func_weight : t -> int -> int
 val site_weight : t -> caller:int -> block:Cfg.label -> callee:int -> int
 
 val out_arcs : t -> int -> Cfg.label -> (Cfg.label * int) list
-(** Outgoing intra-function arcs of a block with nonzero counts.  Layout
-    steps break weight ties by position in this list; the order is that
-    of a [Hashtbl] keyed by destination, filled as each arc was first
-    counted. *)
+(** Outgoing intra-function arcs [(dst, count)] of a block with nonzero
+    counts, sorted by {!arc_order}.  Layout steps break weight ties by
+    position in this list, so layouts depend on the counts alone. *)
+
+val arc_order : Cfg.label * int -> Cfg.label * int -> int
+(** The order of {!out_arcs}: weight descending, then destination label
+    ascending. *)
 
 val in_arcs : t -> int -> (Cfg.label * int) list array
 (** Incoming intra-function arcs for every block of the function. *)

@@ -160,8 +160,9 @@ module Ref_profile = struct
 end
 
 (* Every accessor of [prof] against the reference profile of the same
-   program and inputs; one line per disagreement.  List-valued accessors
-   compare as sets — their order is not part of the contract. *)
+   program and inputs; one line per disagreement.  [out_arcs]' order is
+   part of the contract (weight descending, then destination label); the
+   other list-valued accessors compare as sets. *)
 let profile_disagreements (prof : Vm.Profile.t) (oracle : Ref_profile.t) =
   let prog = prof.Vm.Profile.prog in
   let nfuncs = Array.length prog.Ir.Prog.funcs in
@@ -187,8 +188,10 @@ let profile_disagreements (prof : Vm.Profile.t) (oracle : Ref_profile.t) =
           (Vm.Profile.block_weight prof fid l)
           (Ref_profile.block_weight oracle fid l);
         expect (where ^ " out_arcs")
-          (sorted (Vm.Profile.out_arcs prof fid l))
-          (sorted (Ref_profile.out_arcs oracle fid l));
+          (Vm.Profile.out_arcs prof fid l)
+          (List.sort
+             (fun (d1, c1) (d2, c2) -> compare (-c1, d1) (-c2, d2))
+             (Ref_profile.out_arcs oracle fid l));
         expect (where ^ " in_arcs") (sorted incoming.(l))
           (sorted (Ref_profile.in_arcs oracle fid l));
         for dst = 0 to n - 1 do

@@ -183,6 +183,75 @@ let reused_profile_is_fresh () =
         p.program.funcs)
     (Lazy.force registry_pipelines)
 
+(* A profile's layouts depend on its counts alone: the pipeline's
+   profile, rebuilt through the setters with its arcs set in a seeded
+   random order (as a served upload or a merged epoch would), lays out
+   exactly as the executed one under every strategy. *)
+let layout_ignores_arc_order () =
+  let map_of (profile : Vm.Profile.t) (s : Placement.Strategy.t) =
+    let prog = profile.prog in
+    let layouts =
+      Array.mapi
+        (fun fid f ->
+          s.Placement.Strategy.layout f
+            (Placement.Weight.cfg_of_profile profile fid))
+        prog.Ir.Prog.funcs
+    in
+    let order =
+      s.Placement.Strategy.global
+        (Array.length prog.Ir.Prog.funcs)
+        ~entry:prog.Ir.Prog.entry
+        (Placement.Weight.call_of_profile profile)
+    in
+    Placement.Address_map.build prog ~layouts ~order
+  in
+  let rebuild (executed : Vm.Profile.t) seed =
+    let prog = executed.prog in
+    let t = Vm.Profile.create prog in
+    let arcs = ref [] in
+    Array.iteri
+      (fun fid (f : Ir.Prog.func) ->
+        Vm.Profile.set_func_weight t fid (Vm.Profile.func_weight executed fid);
+        Array.iteri
+          (fun l _ ->
+            Vm.Profile.set_block_weight t fid l
+              (Vm.Profile.block_weight executed fid l))
+          f.Ir.Prog.blocks;
+        Vm.Profile.iter_arcs executed fid (fun src dst c ->
+            arcs := (fid, src, dst, c) :: !arcs))
+      prog.Ir.Prog.funcs;
+    Vm.Profile.fold_sites executed
+      (fun caller block callee c () ->
+        Vm.Profile.set_site_weight t ~caller ~block ~callee c)
+      ();
+    let arcs = Array.of_list !arcs in
+    let rng = Random.State.make [| seed |] in
+    for i = Array.length arcs - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let a = arcs.(i) in
+      arcs.(i) <- arcs.(j);
+      arcs.(j) <- a
+    done;
+    Array.iter
+      (fun (fid, src, dst, c) -> Vm.Profile.set_arc_weight t fid src dst c)
+      arcs;
+    t
+  in
+  List.iter
+    (fun (b, _, (p : Placement.Pipeline.t), _) ->
+      let want = List.map (map_of p.profile) Placement.Strategy.all in
+      List.iter
+        (fun seed ->
+          let rebuilt = rebuild p.profile seed in
+          List.iter2
+            (fun (s : Placement.Strategy.t) (want : Placement.Address_map.t) ->
+              if (map_of rebuilt s).block_addr <> want.block_addr then
+                Alcotest.failf "%s/%s: shuffle seed %d moves the layout"
+                  b.Workloads.Bench.name s.Placement.Strategy.id seed)
+            Placement.Strategy.all want)
+        [ 1; 2; 3 ])
+    (Lazy.force registry_pipelines)
+
 let suite =
   [
     Alcotest.test_case "structural invariants" `Quick structural_invariants;
@@ -196,4 +265,6 @@ let suite =
       profile_passes_pinned;
     Alcotest.test_case "reused profile equals a fresh pass" `Slow
       reused_profile_is_fresh;
+    Alcotest.test_case "layout ignores the order arcs were counted" `Slow
+      layout_ignores_arc_order;
   ]

@@ -116,7 +116,8 @@ let diff_configs =
 
 (* For one benchmark (natural layout, no pipeline: this pins the trace
    store, not the placement), both compressed recordings must decode to
-   the buffered oracle, and every engine must agree on them. *)
+   the buffered oracle, and the block-granular sweep must agree with the
+   word-granular reference on them. *)
 let check_benchmark name =
   let b = Workloads.Registry.find name in
   let program = Workloads.Bench.program b in
@@ -149,27 +150,19 @@ let check_benchmark name =
     (name ^ ": fused recording encodes identically") true
     (Bytes.equal streamed.Sim.Trace.data packed.Sim.Trace.data
     && streamed.Sim.Trace.runs = packed.Sim.Trace.runs);
-  (* Block-granular sweep of the compressed trace plus the fused
-     VM→cache engine: bit-identical.  (Word-vs-block equivalence itself
-     is covered by the fast_sim/differential suites; here the subject is
-     the store and the fusion.) *)
-  let baseline = Sim.Driver.simulate_many diff_configs map packed in
-  let fused, vm_result = Sim.Driver.simulate_stream diff_configs map program input in
-  Alcotest.(check bool) (name ^ ": fused simulate_stream") true
-    (List.for_all2 results_equal baseline fused);
-  (* One word-granular reference point on the compressed trace per
-     benchmark whose trace keeps the word-by-word walk viable (the
-     equivalence itself is config-independent and covered on random
-     programs by the differential suites). *)
-  if Sim.Trace.dyn_blocks packed < 500_000 then begin
-    let c0 = List.hd diff_configs in
-    Alcotest.(check bool)
-      (name ^ ": word-granular reference on packed") true
-      (results_equal (List.hd baseline) (Sim.Driver.simulate c0 map packed))
-  end;
-  Alcotest.(check bool)
-    (name ^ ": fused VM result") true
-    (interp_results_equal vm_result tg.Sim.Trace_gen.result);
+  (* Block-granular sweep of the compressed trace against the
+     word-granular reference, per configuration, on every benchmark whose
+     trace keeps the word-by-word walk viable (the equivalence itself is
+     config-independent and covered on random programs by the
+     fast_sim/differential suites; here the subject is the store). *)
+  if Sim.Trace.dyn_blocks packed < 500_000 then
+    List.iter2
+      (fun c swept ->
+        Alcotest.(check bool)
+          (name ^ ": word-granular reference on packed") true
+          (results_equal swept (Sim.Driver.simulate c map packed)))
+      diff_configs
+      (Sim.Driver.simulate_many diff_configs map packed);
   (* The compressed representation really is smaller. *)
   let s = Sim.Trace.stats packed in
   Alcotest.(check bool)
